@@ -150,6 +150,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    if not args.perm:
+        print("error: map is defined for n >= 1 only", file=sys.stderr)
+        return 2
     print(format_perm(_MAPS[args.which](args.perm)))
     return 0
 

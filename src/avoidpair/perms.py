@@ -102,18 +102,9 @@ def skew_sum(alpha: Perm, beta: Perm) -> Perm:
     return tuple(v + b for v in alpha) + beta
 
 
-def find_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
-    """1-based positions of some occurrence of ``patt``, or None.
-
-    A subsequence occurs as ``patt`` when it is order-isomorphic to it.
-    The scan over position subsets is fine at desk scale (length-3 patterns,
-    n up to the teens).
-
-    >>> find_occurrence((3, 4, 1, 5, 2), (2, 3, 1))
-    (1, 2, 3)
-    >>> find_occurrence((3, 2, 1, 5, 4), (2, 3, 1)) is None
-    True
-    """
+def _scan_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
+    # Definitional scan: position subsets in lexicographic order, so the
+    # first occurrence found is the lexicographically first one.  O(n^k).
     k = len(patt)
     if k > len(perm):
         return None
@@ -125,13 +116,107 @@ def find_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
     return None
 
 
+def _has_132(perm: Perm) -> bool:
+    # Right to left with a decreasing stack: `middle` is the largest value
+    # seen so far that has a larger value to its left, i.e. the best "2"
+    # for a "3" already passed; any later (leftward) value below it is a "1".
+    middle = 0
+    stack: list[int] = []
+    for v in reversed(perm):
+        if v < middle:
+            return True
+        while stack and stack[-1] < v:
+            middle = stack.pop()
+        stack.append(v)
+    return False
+
+
+def _has_123(perm: Perm) -> bool:
+    # `low` is the smallest value so far; `tail` the smallest value so far
+    # with a smaller one before it.  A value above `tail` completes a 123.
+    low = tail = len(perm) + 1
+    for v in perm:
+        if v > tail:
+            return True
+        if v > low:
+            tail = v
+        else:
+            low = v
+    return False
+
+
+# O(n) containment deciders; 231, 312 and 213 are the images of 132 under
+# reverse, complement and reverse-complement, and 321 that of 123.
+_DECIDE_LENGTH3: dict[Perm, Callable[[Perm], bool]] = {
+    (1, 2, 3): _has_123,
+    (1, 3, 2): _has_132,
+    (2, 1, 3): lambda perm: _has_132(reverse_complement(perm)),
+    (2, 3, 1): lambda perm: _has_132(reverse(perm)),
+    (3, 1, 2): lambda perm: _has_132(complement(perm)),
+    (3, 2, 1): lambda perm: _has_123(complement(perm)),
+}
+
+
+def _first_occurrence3(perm: Perm, patt: Perm) -> tuple[int, int, int] | None:
+    # Lexicographically first (i, j, k) in O(n^2).  For each i, an entry is
+    # usable as j or k by the side of perm[i] it lies on.  A backward pass
+    # keeps the extreme usable k-value to the right of j (the minimum when k
+    # must lie below j, the maximum otherwise), which finds the first j that
+    # has a partner; a forward pass from j then finds the first k.
+    j_above, k_above, k_above_j = patt[1] > patt[0], patt[2] > patt[0], patt[2] > patt[1]
+    extreme = max if k_above_j else min
+    n = len(perm)
+    for i in range(n - 2):
+        a = perm[i]
+        best = None
+        first_j = None
+        for j in range(n - 1, i, -1):
+            b = perm[j]
+            if best is not None and (b > a) == j_above and (best > b) == k_above_j:
+                first_j = j
+            if (b > a) == k_above:
+                best = b if best is None else extreme(best, b)
+        if first_j is not None:
+            b = perm[first_j]
+            for k in range(first_j + 1, n):
+                c = perm[k]
+                if (c > a) == k_above and (c > b) == k_above_j:
+                    return (i + 1, first_j + 1, k + 1)
+    return None
+
+
+def find_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
+    """1-based positions of the lexicographically first occurrence, or None.
+
+    A subsequence occurs as ``patt`` when it is order-isomorphic to it.  For
+    the six length-3 patterns, containment is decided in O(n) (a stack scan
+    for 132, a smallest-tail scan for 123, the other four by symmetry), and
+    only when an occurrence exists are its positions found, in O(n^2).
+    Other patterns fall back to the definitional scan over all position
+    subsets, ``_scan_occurrence``, which `avoids_pair` and so `filter_class`
+    use as the oracle; both paths return the same positions.
+
+    >>> find_occurrence((3, 4, 1, 5, 2), (2, 3, 1))
+    (1, 2, 3)
+    >>> find_occurrence((3, 2, 1, 5, 4), (2, 3, 1)) is None
+    True
+    """
+    decide = _DECIDE_LENGTH3.get(tuple(patt))
+    if decide is None:
+        return _scan_occurrence(perm, patt)
+    if not decide(perm):
+        return None
+    return _first_occurrence3(perm, patt)
+
+
 def contains(perm: Perm, patt: Perm) -> bool:
     """True iff some subsequence of ``perm`` is order-isomorphic to ``patt``."""
     return find_occurrence(perm, patt) is not None
 
 
 def avoids_pair(perm: Perm, pair: Pair) -> bool:
-    return not contains(perm, pair[0]) and not contains(perm, pair[1])
+    """True iff ``perm`` contains neither pattern, by the definitional scan."""
+    return _scan_occurrence(perm, pair[0]) is None and _scan_occurrence(perm, pair[1]) is None
 
 
 def pattern_pair(first: Iterable[int], second: Iterable[int]) -> Pair:

@@ -138,6 +138,12 @@ class TestMap:
         assert code == 1
         assert "231" in err and "positions" in err
 
+    def test_empty_perm_is_a_usage_error(self, capsys):
+        for which in ("f", "g"):
+            code, out, err = run_cli(capsys, "map", "--which", which, "--perm", "")
+            assert code == 2 and out == ""
+            assert err == "error: map is defined for n >= 1 only\n"
+
 
 class TestVerify:
     def test_small_full_run_emits_json_lines(self, capsys):

@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoidpair.perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
+    _scan_occurrence,
     all_pairs,
     all_perms,
     avoids_pair,
@@ -32,6 +33,7 @@ from avoidpair.perms import (
 
 perms_of = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 small_perms = st.integers(min_value=0, max_value=8).flatmap(perms_of)
+LENGTH3 = tuple(itertools.permutations((1, 2, 3)))
 
 
 class TestConstruction:
@@ -152,6 +154,29 @@ class TestContainment:
                     (a < b and c < a) for a, b, c in itertools.combinations(perm, 3)
                 )
                 assert contains(perm, patt) == witness
+
+    def test_length3_positions_equal_subset_scan_exhaustively(self):
+        for n in range(9):
+            for perm in all_perms(n):
+                for patt in LENGTH3:
+                    assert find_occurrence(perm, patt) == _scan_occurrence(perm, patt), (
+                        perm,
+                        patt,
+                    )
+
+    @settings(deadline=None)  # the oracle scans up to C(60, 3) subsets
+    @given(st.integers(min_value=9, max_value=60).flatmap(perms_of), st.sampled_from(LENGTH3))
+    def test_length3_positions_equal_subset_scan_on_longer_perms(self, perm, patt):
+        assert find_occurrence(perm, patt) == _scan_occurrence(perm, patt)
+
+    def test_long_members_are_decided_without_the_subset_scan(self):
+        # C(5000, 3) subsets are out of reach for the scan; the fast path is linear.
+        n = 5000
+        assert find_occurrence(tuple(range(1, n + 1)), (3, 2, 1)) is None
+        layered = tuple(v for low in range(1, n + 1, 4) for v in range(low + 3, low - 1, -1))
+        assert sorted(layered) == list(range(1, n + 1))
+        assert find_occurrence(layered, (2, 3, 1)) is None
+        assert find_occurrence(layered, (3, 1, 2)) is None
 
     def test_avoids_pair(self):
         pair = pattern_pair((2, 3, 1), (3, 1, 2))
