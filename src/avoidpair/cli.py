@@ -15,7 +15,7 @@ import sys
 from . import catalog, verify
 from .bijections import NotInClassError, complement_map, transfer_map
 from .catalog import FiniteClassError
-from .perms import FINITE_PAIR, all_pairs, enumerate_class, format_perm, parse_pair, parse_perm
+from .perms import enumerate_class, format_perm, parse_pair, parse_perm
 from .polys import expand
 from .stats import stat_vector
 
@@ -76,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=catalog.FAMILIES, required=True)
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--oracle", action="store_true",
-                   help="sum over the enumerated class instead of expanding the closed form")
+                   help="sum over the enumerated class instead of expanding the closed "
+                        "form; defined for every pair, so it also answers for the finite "
+                        "class 123,321, which has no closed form (0 for n >= 5)")
     add_format(p)
 
     p = sub.add_parser("map", help="apply one of the statistic-exchanging maps")
@@ -157,34 +159,8 @@ def _cmd_map(args) -> int:
     return 0
 
 
-def _gf_reports(n_g: int, n_f: int):
-    reports = []
-    for family, n_max in (("G", n_g), ("F", n_f)):
-        for pair in all_pairs():
-            if pair != FINITE_PAIR:
-                reports.append(verify.check_gf(pair, family, n_max))
-    return reports
-
-
 def _cmd_verify(args) -> int:
-    n = args.n_max
-    if args.scope == "counts":
-        reports = [verify.check_counts(n if n is not None else verify.DEFAULT_N_COUNTS)]
-    elif args.scope == "gf":
-        reports = _gf_reports(
-            n if n is not None else verify.DEFAULT_N_G,
-            n if n is not None else verify.DEFAULT_N_F,
-        )
-    elif args.scope == "maps":
-        reports = verify.check_equidistribution_maps(
-            n if n is not None else verify.DEFAULT_N_MAPS
-        )
-    elif n is not None:
-        reports = [verify.check_counts(n)]
-        reports.extend(_gf_reports(n, n))
-        reports.extend(verify.check_equidistribution_maps(n))
-    else:
-        reports = verify.run_default_suite()
+    reports = verify.suite(args.scope, args.n_max)
     for report in reports:
         print(report.to_json_line())
     return 0 if verify.all_passed(reports) else 1

@@ -110,18 +110,52 @@ class StatVector:
 
 
 def stat_vector(perm: Perm) -> StatVector:
-    """Bundle the eight statistics.
+    """All eight statistics in one forward and one backward scan.
+
+    The forward scan classifies each adjacent pair once; values are
+    distinct, so every pair that is not an ascent is a descent.  A new
+    left-to-right maximum can only end an ascent and a new minimum only a
+    descent.  The greedy scans of `mna` and `mnd` become one flag per kind:
+    an ascent is taken exactly when the previous pair was not a taken
+    ascent, and likewise for descents.  The backward scan counts the
+    right-to-left records.  The single-statistic functions above remain
+    the definitions this must agree with.
 
     >>> stat_vector((3, 4, 1, 5, 2))
     StatVector(asc=2, des=2, lrmax=3, lrmin=2, rlmax=2, rlmin=2, mna=2, mnd=2)
     """
-    return StatVector(
-        asc=asc(perm),
-        des=des(perm),
-        lrmax=lrmax(perm),
-        lrmin=lrmin(perm),
-        rlmax=rlmax(perm),
-        rlmin=rlmin(perm),
-        mna=mna(perm),
-        mnd=mnd(perm),
-    )
+    if not perm:
+        return StatVector(0, 0, 0, 0, 0, 0, 0, 0)
+    n_asc = n_mna = n_mnd = 0
+    n_lrmax = n_lrmin = 1
+    took_asc = took_des = False
+    scan = iter(perm)
+    prev = high = low = next(scan)
+    for v in scan:
+        if v > prev:
+            n_asc += 1
+            took_asc = not took_asc
+            n_mna += took_asc
+            took_des = False
+            if v > high:
+                high = v
+                n_lrmax += 1
+        else:
+            took_des = not took_des
+            n_mnd += took_des
+            took_asc = False
+            if v < low:
+                low = v
+                n_lrmin += 1
+        prev = v
+    n_rlmax = n_rlmin = 0
+    high, low = 0, len(perm) + 1
+    for v in reversed(perm):
+        if v > high:
+            high = v
+            n_rlmax += 1
+        if v < low:
+            low = v
+            n_rlmin += 1
+    return StatVector(n_asc, len(perm) - 1 - n_asc, n_lrmax, n_lrmin,
+                      n_rlmax, n_rlmin, n_mna, n_mnd)

@@ -207,6 +207,25 @@ class TestExitCodesEndToEnd:
         result = run_process("verify", "counts", "--n-max", "5")
         assert result.returncode == 0
 
+    def test_finite_pair_table_closed_form_fails_and_oracle_answers(self):
+        # 123,321 has no rational form, so the closed-form path is a data
+        # error; the oracle is defined for every pair and sums the class
+        closed = run_process("table", "--pair", "123,321", "--family", "G", "--n", "3")
+        assert closed.returncode == 1 and closed.stdout == ""
+        assert closed.stderr == (
+            "error: 123,321 is a finite class with no generating function; "
+            "use class_count\n"
+        )
+        oracle = run_process(
+            "table", "--pair", "123,321", "--family", "G", "--n", "3", "--oracle"
+        )
+        assert oracle.returncode == 0 and oracle.stderr == ""
+        assert oracle.stdout == "4 p q y z\n"
+        empty = run_process(
+            "table", "--pair", "123,321", "--family", "F", "--n", "5", "--oracle"
+        )
+        assert empty.returncode == 0 and empty.stdout == "0\n" and empty.stderr == ""
+
     def test_determinism_byte_for_byte(self):
         first = run_process("table", "--pair", "132,213", "--family", "F", "--n", "4")
         second = run_process("table", "--pair", "132,213", "--family", "F", "--n", "4")

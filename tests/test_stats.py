@@ -11,6 +11,11 @@ perms_up_to_64 = st.integers(min_value=1, max_value=64).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
 
+# the lengths of the permutations the CLI benchmark sends to `stats`
+perms_9_to_200 = st.integers(min_value=9, max_value=200).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+)
+
 
 def max_disjoint(positions):
     """Exhaustive search for the largest pairwise index-disjoint subset.
@@ -26,6 +31,14 @@ def max_disjoint(positions):
             if all(b - a >= 2 for a, b in zip(subset, subset[1:])):
                 return size
     return 0
+
+
+def by_definition(perm):
+    """The statistic vector assembled from the eight one-statistic definitions."""
+    return StatVector(
+        asc(perm), des(perm), lrmax(perm), lrmin(perm),
+        rlmax(perm), rlmin(perm), mna(perm), mnd(perm),
+    )
 
 
 def ascent_positions(perm):
@@ -158,3 +171,12 @@ class TestStatVector:
                     assert 1 <= getattr(vec, field) <= n
                 assert vec.mna <= vec.asc and vec.mna <= n // 2
                 assert vec.mnd <= vec.des and vec.mnd <= n // 2
+
+    def test_one_pass_matches_the_definitions_exhaustively(self):
+        for n in range(9):
+            for perm in all_perms(n):
+                assert stat_vector(perm) == by_definition(perm), perm
+
+    @given(perms_9_to_200)
+    def test_one_pass_matches_the_definitions_on_long_permutations(self, perm):
+        assert stat_vector(perm) == by_definition(perm)

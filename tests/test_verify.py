@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from avoidpair import catalog
-from avoidpair.perms import FINITE_PAIR, all_pairs, pattern_pair
+from avoidpair import catalog, stats, verify
+from avoidpair.perms import FINITE_PAIR, all_pairs, enumerate_class, pattern_pair
 from avoidpair.polys import MultiPoly, RationalGF
 from avoidpair.verify import (
     VerifyReport,
@@ -12,11 +12,28 @@ from avoidpair.verify import (
     check_counts,
     check_equidistribution_maps,
     check_gf,
-    family_monomial,
     run_default_suite,
+    suite,
 )
 
 P, Q, Y, Z = (MultiPoly.var(name) for name in "pqyz")
+U, V, S, T = (MultiPoly.var(name) for name in "uvst")
+
+
+def monomial_sum(pair, n, family):
+    """The joint distribution by its definition: one marker monomial per member."""
+    total = MultiPoly.zero()
+    for perm in enumerate_class(pair, n):
+        term = P ** stats.asc(perm) * Q ** stats.des(perm)
+        if family == "G":
+            term = term * Y ** stats.mna(perm) * Z ** stats.mnd(perm)
+        else:
+            term = (
+                term * U ** stats.lrmax(perm) * V ** stats.rlmax(perm)
+                * S ** stats.lrmin(perm) * T ** stats.rlmin(perm)
+            )
+        total = total + term
+    return total
 
 PAIR_231_312 = pattern_pair((2, 3, 1), (3, 1, 2))
 PAIR_213_231 = pattern_pair((2, 1, 3), (2, 3, 1))
@@ -45,8 +62,19 @@ class TestBruteDistribution:
                 assert poly == MultiPoly.const(catalog.class_count(pair, n))
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            family_monomial((1, 2), "H")
+        with pytest.raises(ValueError, match="unknown family 'H'"):
+            brute_distribution(PAIR_231_312, 3, "H")
+        # rejected before enumerating, so an empty class does not hide it
+        with pytest.raises(ValueError, match="unknown family 'H'"):
+            brute_distribution(FINITE_PAIR, 5, "H")
+
+    @pytest.mark.parametrize("family", ["F", "G"])
+    def test_matches_the_monomial_sum_over_the_definitions(self, family):
+        for pair in all_pairs():
+            for n in range(8):
+                assert brute_distribution(pair, n, family) == monomial_sum(pair, n, family), (
+                    pair, n,
+                )
 
 
 class TestCheckGF:
@@ -106,11 +134,61 @@ class TestEquidistributionMaps:
         assert "transfer-swaps-quadruple" in names
         assert "cross-class-equidistribution" in names
 
+    def test_broken_maps_are_reported_at_their_first_discrepancy(self, monkeypatch):
+        # the identity does not swap the quadruple; reverse leaves the layered class
+        monkeypatch.setattr(verify, "transfer_map", lambda perm: perm)
+        monkeypatch.setattr(verify, "complement_map", lambda perm: perm[::-1])
+        reports = check_equidistribution_maps(6)
+        assert [(r.name, r.status) for r in reports] == [
+            ("involution-swaps-quadruple", "fail"),
+            ("complement-swaps-quadruple", "pass"),
+            ("reverse-swaps-quadruple", "pass"),
+            ("transfer-swaps-quadruple", "fail"),
+            ("cross-class-equidistribution", "pass"),
+        ]
+        assert reports[0].first_discrepancy == {
+            "n": 3, "perm": [1, 3, 2], "image": [2, 3, 1],
+            "reason": "image is not a fresh member of the target class",
+        }
+        assert reports[3].first_discrepancy == {
+            "n": 2, "perm": [1, 2], "image": [1, 2], "reason": "quadruple not swapped",
+        }
+        assert reports[3].to_json_line() == (
+            '{"family": null, "first_discrepancy": {"image": [1, 2], "n": 2, '
+            '"perm": [1, 2], "reason": "quadruple not swapped"}, "n_range": [1, 6], '
+            '"name": "transfer-swaps-quadruple", "pair": "231,312", "status": "fail"}'
+        )
+
+    def test_a_repeated_image_is_not_fresh(self, monkeypatch):
+        # every member goes to the decreasing permutation, a member of the target class
+        monkeypatch.setattr(verify, "transfer_map", lambda perm: tuple(range(len(perm), 0, -1)))
+        reports = check_equidistribution_maps(6)
+        assert [r.name for r in reports if not r.passed] == ["transfer-swaps-quadruple"]
+        assert reports[3].first_discrepancy == {
+            "n": 2, "perm": [2, 1], "image": [2, 1],
+            "reason": "image is not a fresh member of the target class",
+        }
+
     def test_two_element_multisets_by_hand(self):
         # at n = 2 both classes carry the multiset {p y, q z}
         left = brute_distribution(PAIR_231_312, 2, "G")
         right = brute_distribution(PAIR_213_231, 2, "G")
         assert left == right == P * Y + Q * Z
+
+
+class TestSuite:
+    def test_scopes_select_their_reports_in_print_order(self):
+        reports = suite("all", 4)
+        assert [r.name for r in reports[:1]] == ["counts-vs-formula"]
+        assert [r.family for r in reports[1:29]] == ["G"] * 14 + ["F"] * 14
+        assert [r.n_range for r in reports[1:29]] == [(0, 4)] * 28
+        assert reports[29:] == suite("maps", 4)
+        assert suite("counts", 4) == reports[:1]
+        assert suite("gf", 4) == reports[1:29]
+
+    def test_unknown_scope_rejected(self):
+        with pytest.raises(ValueError, match="unknown scope"):
+            suite("everything")
 
 
 class TestDefaultSuite:
@@ -119,5 +197,8 @@ class TestDefaultSuite:
         # counts + 14 G + 14 F + 5 map reports
         assert len(reports) == 34
         assert all_passed(reports)
+        assert [r.n_range for r in reports] == (
+            [(0, 12)] + [(0, 10)] * 14 + [(0, 9)] * 14 + [(1, 12)] * 5
+        )
         for report in reports:
             assert (report.status == "fail") == (report.first_discrepancy is not None)
