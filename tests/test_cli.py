@@ -4,8 +4,9 @@ import json
 import subprocess
 import sys
 
+from avoidpair import catalog
 from avoidpair.cli import main
-from avoidpair.perms import FINITE_PAIR, all_pairs
+from avoidpair.perms import CANONICAL_PAIRS, FINITE_PAIR, all_pairs, format_pair, parse_pair
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +30,24 @@ class TestCount:
 
     def test_finite_class(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--pair", "123,321", "--n", "7")
+        assert code == 0 and out == "0\n"
+
+    def test_longest_printable_count(self, capsys):
+        # 2 ** 14284 has 4,300 digits, Python's default int-to-str limit
+        code, out, _ = run_cli(capsys, "count", "--pair", "123,132", "--n", "14285")
+        assert code == 0 and out == f"{2 ** 14284}\n" and len(out) == 4301
+
+    def test_count_too_long_to_print_is_a_usage_error(self, capsys):
+        for n in ("14286", str(10**12)):
+            code, out, err = run_cli(capsys, "count", "--pair", "213,231", "--n", n)
+            assert code == 2 and out == ""
+            assert err == f"error: the count at n = {n} has more than 4300 digits\n"
+
+    def test_slow_classes_still_print_at_large_n(self, capsys):
+        n = 10**12
+        code, out, _ = run_cli(capsys, "count", "--pair", "132,321", "--n", str(n))
+        assert code == 0 and out == f"{1 + n * (n - 1) // 2}\n"
+        code, out, _ = run_cli(capsys, "count", "--pair", "123,321", "--n", str(n))
         assert code == 0 and out == "0\n"
 
 
@@ -174,6 +193,25 @@ class TestCatalogDump:
         assert "G 213,312 (oracle-corrected)" in out
         assert "213,312 mna (oracle-corrected)" in out
 
+    def test_plain_renders_every_stored_entry(self, capsys):
+        # Rendered from the catalog's entry lookups, independently of dump()
+        lines = []
+
+        def render(label, entry):
+            corrected = " (oracle-corrected)" if entry.oracle_corrected else ""
+            lines.extend([f"{label}{corrected}", f"  num: {entry.gf.num}",
+                          f"  den: {entry.gf.den}"])
+
+        pairs = sorted(format_pair(pair) for pair in CANONICAL_PAIRS if pair != FINITE_PAIR)
+        for family in sorted(catalog.FAMILIES):
+            for text in pairs:
+                render(f"{family} {text}", catalog.canonical_entry(parse_pair(text), family))
+        for text in pairs:
+            for stat in catalog.STAT_NAMES:
+                render(f"{text} {stat}", catalog.single_stat_entry(parse_pair(text), stat))
+        code, out, _ = run_cli(capsys, "catalog-dump", "--format", "plain")
+        assert code == 0 and out == "\n".join(lines) + "\n"
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "catalog-dump", "--format", "csv")
         assert out.startswith("family,pair,part,monomial,coefficient\n")
@@ -225,6 +263,19 @@ class TestExitCodesEndToEnd:
             "table", "--pair", "123,321", "--family", "F", "--n", "5", "--oracle"
         )
         assert empty.returncode == 0 and empty.stdout == "0\n" and empty.stderr == ""
+
+    def test_closed_pipe_exits_1_without_a_traceback(self):
+        # About 1.3 MB of output: the reader closes the pipe after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "avoidpair", "enumerate", "--pair", "123,132", "--n", "16"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"15 14 13 12 11 10 9 8 7 6 5 4 3 2 1 16\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1 and err == b""
 
     def test_determinism_byte_for_byte(self):
         first = run_process("table", "--pair", "132,213", "--family", "F", "--n", "4")
