@@ -106,10 +106,14 @@ def _cmd_count(args) -> int:
     # reaches that bound exactly when n - 1 reaches the bound's bit length,
     # which exceeds 3 * digits, and counts above 4 only grow with n.  So one
     # probe at that length decides every larger n without computing its power.
+    # Below that length, and for the classes that pass the probe (counts at
+    # most 1 + C(n, 2)), the count itself is cheap to compute and compare.
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     if args.n > 3 * digits:
-        bits = (10 ** digits).bit_length()
-        if args.n - 1 >= bits and catalog.class_count(args.pair, bits + 1) >= 10 ** digits:
+        limit = 10 ** digits
+        bits = limit.bit_length()
+        if ((args.n - 1 >= bits and catalog.class_count(args.pair, bits + 1) >= limit)
+                or catalog.class_count(args.pair, args.n) >= limit):
             print(f"error: the count at n = {args.n} has more than {digits} digits",
                   file=sys.stderr)
             return 2

@@ -10,6 +10,8 @@ in the marker variables.
 
 from __future__ import annotations
 
+import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -18,6 +20,8 @@ VARS = ("x", "p", "q", "u", "v", "s", "t", "y", "z")
 _INDEX = {name: i for i, name in enumerate(VARS)}
 _NVARS = len(VARS)
 _ZERO_EXPS = (0,) * _NVARS
+# struct codes of the unsigned little-endian fields expand packs exponents into
+_FIELD_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
 def _term_key(exps: tuple) -> tuple:
@@ -312,8 +316,21 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
 
         c_k = N_k - sum_{j=1..k} D_j c_{k-j}.
 
-    Truncation happens only in x; marker degrees are bounded by the x-degree
-    for every generating function in this library, so nothing is lost.
+    Each c_k is accumulated in one dict keyed by packed exponents: the nine
+    exponents of an x-free monomial sit in equal fixed-width fields of one
+    int, x (always 0) in the lowest, so multiplying two monomials adds their
+    keys.  Only the last deg_x(den) coefficients are kept packed; each
+    finished c_k drops its zero terms and is unpacked into a MultiPoly.
+
+    The field width comes from the input.  Before cancellation every term
+    of c_k is a term of num times at most k terms of den, each of x-degree
+    at least 1, so its exponent of marker i is at most
+    B_i = deg_i(num) + n_max * deg_i(den).  Every key sum the recurrence
+    forms, a term of D_j times a term of c_{k-j}, is such a term of c_k.
+    Fields one guard bit wider than max B_i therefore never fill, and adding
+    two keys never carries into the next field.  The width is rounded up to
+    8, 16, 32 or 64 bits so that one ``struct`` call unpacks a key; a bound
+    that needs more raises ValueError.
 
     >>> x = MultiPoly.var("x")
     >>> one = MultiPoly.one()
@@ -322,17 +339,46 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    num_slices = gf.num.x_slices()
-    den_slices = gf.den.x_slices()
-    if den_slices.get(0) != MultiPoly.one():
+    num, den = gf.num._terms, gf.den._terms
+    bound = max(
+        max((e[i] for e in num), default=0) + n_max * max((e[i] for e in den), default=0)
+        for i in range(1, _NVARS)
+    )
+    bits = bound.bit_length() + 1  # the guard bit
+    code = next((c for width, c in _FIELD_CODES if width >= bits), None)
+    if code is None:
+        raise ValueError(f"marker exponents up to {bound} do not fit a 64-bit field")
+    fields = struct.Struct(f"<{_NVARS}{code}")
+    size = fields.size
+
+    def packed_slices(terms):
+        slices: dict[int, dict[int, int]] = {}
+        for exps, coeff in terms.items():
+            key = int.from_bytes(fields.pack(0, *exps[1:]), "little")
+            slices.setdefault(exps[0], {})[key] = coeff
+        return slices
+
+    num_slices = packed_slices(num)
+    den_slices = packed_slices(den)
+    if den_slices.pop(0, None) != {0: 1}:
         raise ValueError("denominator must have x-free part exactly 1 for expansion")
-    den_degrees = sorted(d for d in den_slices if d > 0)
+    den_by_degree = sorted((j, list(slice_.items())) for j, slice_ in den_slices.items())
+    recent = deque(maxlen=den_by_degree[-1][0] if den_by_degree else 0)
+    unpack = fields.unpack
     coeffs = []
     for k in range(n_max + 1):
-        c = num_slices.get(k, MultiPoly.zero())
-        for j in den_degrees:
+        acc = dict(num_slices.get(k, ()))
+        get = acc.get
+        for j, den_terms in den_by_degree:
             if j > k:
                 break
-            c = c - den_slices[j] * coeffs[k - j]
-        coeffs.append(c)
+            prev = recent[-j].items()
+            for ed, cd in den_terms:
+                for ec, cc in prev:
+                    e = ed + ec
+                    acc[e] = get(e, 0) - cd * cc
+        acc = {e: c for e, c in acc.items() if c}
+        recent.append(acc)
+        terms = {unpack(e.to_bytes(size, "little")): c for e, c in acc.items()}
+        coeffs.append(MultiPoly._raw(terms))
     return SeriesTable(n_max, tuple(coeffs))

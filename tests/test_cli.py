@@ -1,6 +1,7 @@
 """CLI behaviour: output bytes in-process, exit codes end-to-end."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -42,6 +43,25 @@ class TestCount:
             code, out, err = run_cli(capsys, "count", "--pair", "213,231", "--n", n)
             assert code == 2 and out == ""
             assert err == f"error: the count at n = {n} has more than 4300 digits\n"
+
+    def test_quadratic_class_too_long_to_print_is_a_usage_error(self, capsys):
+        # 1 + C(n, 2) has about 4,400 digits at n = 10**2200
+        n = str(10**2200)
+        code, out, err = run_cli(capsys, "count", "--pair", "132,321", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: the count at n = {n} has more than 4300 digits\n"
+
+    def test_quadratic_class_at_the_digit_limit(self, capsys):
+        limit = 10**4300
+        last = math.isqrt(2 * limit) + 1  # C(n, 2) >= (n - 1)^2 / 2: no later n prints
+        while 1 + math.comb(last, 2) >= limit:
+            last -= 1
+        assert 1 + math.comb(last + 1, 2) >= limit
+        code, out, _ = run_cli(capsys, "count", "--pair", "132,321", "--n", str(last))
+        assert code == 0 and out == f"{1 + math.comb(last, 2)}\n" and len(out) == 4301
+        code, out, err = run_cli(capsys, "count", "--pair", "132,321", "--n", str(last + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: the count at n = {last + 1} has more than 4300 digits\n"
 
     def test_slow_classes_still_print_at_large_n(self, capsys):
         n = 10**12

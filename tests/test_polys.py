@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avoidpair.catalog import gf_for
+from avoidpair.perms import FINITE_PAIR, all_pairs, format_pair, parse_pair
 from avoidpair.polys import VARS, MultiPoly, RationalGF, SeriesTable, expand
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
@@ -17,6 +21,48 @@ def random_poly(rng, max_terms=4, max_exp=3, max_coeff=9):
 
 def random_point(rng):
     return {name: rng.randint(-5, 5) for name in VARS}
+
+
+def reference_expand(gf: RationalGF, n_max: int) -> SeriesTable:
+    """The tuple-keyed MultiPoly recurrence that the packed kernel replaced."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    num_slices = gf.num.x_slices()
+    den_slices = gf.den.x_slices()
+    if den_slices.get(0) != MultiPoly.one():
+        raise ValueError("denominator must have x-free part exactly 1 for expansion")
+    den_degrees = sorted(d for d in den_slices if d > 0)
+    coeffs = []
+    for k in range(n_max + 1):
+        c = num_slices.get(k, MultiPoly.zero())
+        for j in den_degrees:
+            if j > k:
+                break
+            c = c - den_slices[j] * coeffs[k - j]
+        coeffs.append(c)
+    return SeriesTable(n_max, tuple(coeffs))
+
+
+INFINITE_PAIRS = [pair for pair in all_pairs() if pair != FINITE_PAIR]
+
+
+def marker_poly(x_degrees, max_exp, max_coeff=5):
+    """Strategy: a MultiPoly of up to four terms of the given x-degrees, each
+    with at most two of the eight markers."""
+    term = st.tuples(
+        st.sampled_from(x_degrees),
+        st.dictionaries(st.integers(1, len(VARS) - 1), st.integers(0, max_exp), max_size=2),
+        st.integers(-max_coeff, max_coeff).filter(bool),
+    )
+
+    def build(terms):
+        poly = {}
+        for x_degree, markers, coeff in terms:
+            exps = (x_degree, *(markers.get(i, 0) for i in range(1, len(VARS))))
+            poly[exps] = poly.get(exps, 0) + coeff
+        return MultiPoly(poly)
+
+    return st.lists(term, max_size=4).map(build)
 
 
 class TestArithmetic:
@@ -175,6 +221,10 @@ class TestExpand:
         )
         assert truncated == gf.num
 
+    def test_rejects_negative_n_max(self):
+        with pytest.raises(ValueError):
+            expand(RationalGF(MultiPoly.one(), 1 - X), -1)
+
     def test_series_table_validates_length(self):
         with pytest.raises(ValueError):
             SeriesTable(2, (MultiPoly.one(),))
@@ -188,3 +238,68 @@ class TestExpand:
                 [{"exponents": {}, "coeff": "1"}],
             ],
         }
+
+
+class TestPackedKernel:
+    """expand against the tuple-keyed recurrence it replaced, term for term."""
+
+    @pytest.mark.parametrize("family, n_max", [("F", 20), ("G", 40)])
+    def test_every_catalog_form_matches_the_reference(self, family, n_max):
+        for pair in INFINITE_PAIRS:
+            gf = gf_for(pair, family)
+            assert expand(gf, n_max) == reference_expand(gf, n_max), format_pair(pair)
+
+    # The largest F denominator (23 terms) and a G one of x-degree 6, whose
+    # exponent bound (366) needs 16-bit fields.
+    @pytest.mark.parametrize("pair, family, n_max", [("132,213", "F", 30), ("123,231", "G", 60)])
+    def test_benchmark_sizes_match_the_reference(self, pair, family, n_max):
+        gf = gf_for(parse_pair(pair), family)
+        assert expand(gf, n_max) == reference_expand(gf, n_max)
+
+    # Fields are 8, 16, 32 or 64 bits wide and hold the exponent bound plus one
+    # guard bit, so the width steps where k * n_max reaches 2^7, 2^15 and 2^31;
+    # (1, 256) overflows a whole 8-bit field, and 2^63 - 1 fills 64 bits.
+    @pytest.mark.parametrize("k, n_max", [
+        (1, 127), (1, 128), (127, 1), (128, 1), (1, 256),
+        (2**15 - 1, 1), (2**15, 1), (2**31 - 1, 1), (2**31, 1),
+        (2**31 - 1, 2), (2**62 - 1, 2), (2**63 - 1, 1),
+    ])
+    def test_field_width_steps(self, k, n_max):
+        # 1 / (1 - p^k y^k z^k x) has p^(k n) y^(k n) z^(k n) at x^n; the
+        # top field (z) would spill past the key, a middle one into the next.
+        marker = P * Y * Z
+        table = expand(RationalGF(MultiPoly.one(), 1 - marker**k * X), n_max)
+        assert table.coeffs[-1] == marker ** (k * n_max)
+        assert table.coeffs[1] == marker**k
+
+    def test_numerator_degree_counts_in_the_bound(self):
+        # p^255 z^255 / (1 - p z x) reaches p^256 z^256 at x^1, past an 8-bit field.
+        gf = RationalGF(P**255 * Z**255, 1 - P * Z * X)
+        assert expand(gf, 1).coeffs == (P**255 * Z**255, P**256 * Z**256)
+
+    def test_exponents_past_63_bits_are_rejected(self):
+        with pytest.raises(ValueError, match="64-bit field"):
+            expand(RationalGF(MultiPoly.one(), 1 - Q**(2**63) * X), 1)
+        with pytest.raises(ValueError, match="64-bit field"):
+            expand(RationalGF(MultiPoly.one(), 1 - Q**(2**62) * X), 2)
+
+    @settings(deadline=None)  # the reference multiplies whole MultiPolys
+    @given(
+        marker_poly((0, 1, 2, 3), 40),
+        marker_poly((1, 2, 3), 40),
+        marker_poly((0, 1, 2), 40),
+        st.booleans(),
+        st.integers(2, 10),
+    )
+    def test_random_rational_gfs_match_the_reference(self, num, den_tail, quotient, exact, n_max):
+        den = 1 + den_tail
+        if exact:
+            # num = den * quotient: every coefficient past deg_x(quotient) cancels to 0
+            num = den * quotient
+        gf = RationalGF(num, den)
+        table = expand(gf, n_max)
+        assert table == reference_expand(gf, n_max)
+        assert all(coeff for poly in table.coeffs for _, coeff in poly.terms())
+        if exact:
+            slices = quotient.x_slices()
+            assert list(table.coeffs) == [slices.get(k, MultiPoly.zero()) for k in range(n_max + 1)]
