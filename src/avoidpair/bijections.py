@@ -78,9 +78,25 @@ def _from_cuts(cuts: list[int], n: int) -> Composition:
 
 
 def _run_lengths(perm: Perm, pair: Pair, descending: bool) -> Composition:
-    """Lengths of the maximal descending (or ascending) runs of a member of ``pair``."""
+    """Lengths of the maximal descending (or ascending) runs of a member of ``pair``.
+
+    Both classes hold exactly one member per composition, and that member's
+    maximal runs are its parts.  So a tuple of ints is in the class exactly
+    when the member rebuilt from its run lengths is the tuple itself, which
+    costs two linear passes and no pattern search.  Anything else takes the
+    validating path, whose errors name the bad entry or the first
+    occurrence of a forbidden pattern.
+    """
+    if type(perm) is tuple and {*map(type, perm)} <= {int}:
+        comp = _cut_runs(perm, descending)
+        if (_layered if descending else _runs)(comp) == perm:
+            return comp
     perm = make_permutation(perm)
     _require_class(perm, pair)
+    return _cut_runs(perm, descending)
+
+
+def _cut_runs(perm: Perm, descending: bool) -> Composition:
     cuts = [i for i in range(1, len(perm)) if (perm[i] > perm[i - 1]) == descending]
     return _from_cuts(cuts, len(perm))
 
@@ -99,7 +115,10 @@ def layered_compose(comp: Composition) -> Perm:
     >>> layered_compose((3, 3, 1, 3, 1, 1, 1, 1))
     (3, 2, 1, 6, 5, 4, 7, 10, 9, 8, 11, 12, 13, 14)
     """
-    comp = make_composition(comp)
+    return _layered(make_composition(comp))
+
+
+def _layered(comp: Composition) -> Perm:
     perm = []
     low = 1
     for part in comp:
@@ -126,7 +145,10 @@ def runs_compose(comp: Composition) -> Perm:
     >>> runs_compose((5, 1, 3, 1, 2, 1, 1))
     (1, 2, 3, 4, 14, 13, 5, 6, 12, 11, 7, 10, 9, 8)
     """
-    comp = make_composition(comp)
+    return _runs(make_composition(comp))
+
+
+def _runs(comp: Composition) -> Perm:
     low, high = 1, sum(comp)
     perm = []
     for part in comp:
@@ -161,7 +183,7 @@ def complement_map(perm: Perm) -> Perm:
     comp = layered_decompose(perm)
     n = sum(comp)
     old = set(accumulate(comp))
-    return layered_compose(_from_cuts([b for b in range(1, n) if b not in old], n))
+    return _layered(_from_cuts([b for b in range(1, n) if b not in old], n))
 
 
 def transfer_map(perm: Perm) -> Perm:
@@ -176,4 +198,4 @@ def transfer_map(perm: Perm) -> Perm:
     """
     if len(perm) == 0:
         raise ValueError("map is defined for n >= 1 only")
-    return runs_compose(layered_decompose(perm)[::-1])
+    return _runs(layered_decompose(perm)[::-1])

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on data or verification failure or when the
 reader closes the output pipe early, 2 on usage errors (including a
-``count`` too long to print).  All output is deterministic for fixed arguments.
+``count`` too long to print and a ``table --n`` whose closed-form expansion
+cannot be packed).  All output is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import catalog, verify
 from .bijections import NotInClassError, complement_map, transfer_map
 from .catalog import FiniteClassError
 from .perms import enumerate_class, format_perm, parse_pair, parse_perm
-from .polys import MultiPoly, expand
+from .polys import ExponentOverflowError, MultiPoly, expand
 from .stats import stat_vector
 
 FORMATS = ("json", "csv", "plain")
@@ -149,7 +150,14 @@ def _cmd_table(args) -> int:
     if args.oracle:
         poly = verify.brute_distribution(args.pair, args.n, args.family)
     else:
-        poly = expand(catalog.gf_for(args.pair, args.family), args.n).coeffs[args.n]
+        gf = catalog.gf_for(args.pair, args.family)
+        try:
+            # expand sizes its packed fields first and raises before any work.
+            # Only the printed coefficient is kept alive while it is formatted.
+            poly = expand(gf, args.n).coeffs[args.n]
+        except ExponentOverflowError as exc:
+            print(f"error: table --n {args.n} is too large: {exc}", file=sys.stderr)
+            return 2
     if args.format == "json":
         print(json.dumps(poly.to_json_terms()))
     elif args.format == "csv":

@@ -435,6 +435,21 @@ _CANONICAL_GENERATORS = {
 }
 
 
+def class_size(pair: Pair, n: int) -> int:
+    """Number of members at length n, equal to ``len(enumerate_class(pair, n))``.
+
+    Reverse and complement are injective, so the canonical generator's
+    tuple already has the class's length; nothing is carried over or sorted.
+
+    >>> class_size(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
+    4
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    canonical, _ = reduce_to_canonical(pattern_pair(*pair))
+    return len(_CANONICAL_GENERATORS[canonical](n))
+
+
 def enumerate_class(pair: Pair, n: int) -> list[Perm]:
     """Every member of S_n avoiding both patterns, in lexicographic order.
 

@@ -308,6 +308,10 @@ class SeriesTable:
         }
 
 
+class ExponentOverflowError(ValueError):
+    """An expansion's marker exponents would not fit a 64-bit packed field."""
+
+
 def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     """Truncated power series of ``gf`` in x, exact in the marker variables.
 
@@ -330,7 +334,8 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     Fields one guard bit wider than max B_i therefore never fill, and adding
     two keys never carries into the next field.  The width is rounded up to
     8, 16, 32 or 64 bits so that one ``struct`` call unpacks a key; a bound
-    that needs more raises ValueError.
+    that needs more raises ExponentOverflowError before any coefficient is
+    computed.
 
     >>> x = MultiPoly.var("x")
     >>> one = MultiPoly.one()
@@ -347,7 +352,8 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     bits = bound.bit_length() + 1  # the guard bit
     code = next((c for width, c in _FIELD_CODES if width >= bits), None)
     if code is None:
-        raise ValueError(f"marker exponents up to {bound} do not fit a 64-bit field")
+        raise ExponentOverflowError(
+            f"marker exponents up to {bound} do not fit a 64-bit field")
     fields = struct.Struct(f"<{_NVARS}{code}")
     size = fields.size
 

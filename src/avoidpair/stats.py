@@ -9,7 +9,7 @@ maximum, this being the unit-interval special case of interval scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from .perms import Perm
 
@@ -92,9 +92,12 @@ def mnd(perm: Perm) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class StatVector:
-    """All eight statistics of one permutation."""
+class StatVector(NamedTuple):
+    """All eight statistics of one permutation.
+
+    A named tuple: cheap to build, hashable, and counted directly as the
+    joint key of all eight statistics.
+    """
 
     asc: int
     des: int
@@ -106,7 +109,7 @@ class StatVector:
     mnd: int
 
     def to_json_obj(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
 
 def stat_vector(perm: Perm) -> StatVector:

@@ -5,11 +5,15 @@ the same polynomial summed over the enumerated class, and reports the first
 discrepancy if any.  Default ranges keep the whole suite at desk scale:
 counts to n = 12, family G to n = 10, family F to n = 9, maps to n = 12.
 
-Every check computes each class member's statistics once: the oracle
-counts members by their family's exponent vector and builds the polynomial
-from those counts, and the map checks share one member-to-quadruple table
-per class and length.  :func:`suite` lists the reports of one
-``avoidpair verify`` run for a scope.
+Every check computes each class member's statistics once.  The oracle
+counts members by their eight-statistic vector and reads a family's
+marginal off those counts; within one :func:`suite` call, families G and F
+share one such table per (pair, n).  The counts check takes class sizes
+from :func:`~avoidpair.perms.class_size` without carrying members over.
+The map checks share one member-to-quadruple table per class and length,
+and the maps decode each member by rebuilding it from its run lengths
+rather than by searching it for the class's patterns.  :func:`suite` lists
+the reports of one ``avoidpair verify`` run for a scope.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .perms import (
     FINITE_PAIR,
     Pair,
     all_pairs,
+    class_size,
     complement,
     enumerate_class,
     format_pair,
@@ -42,11 +47,29 @@ DEFAULT_N_MAPS = 12
 SCOPES = ("all", "counts", "gf", "maps")
 
 
-def brute_distribution(pair: Pair, n: int, family: str) -> MultiPoly:
+def _joint_counts(pair: Pair, n: int, joint: dict | None) -> Counter:
+    """Members of the class at length n counted by their eight-statistic vector.
+
+    ``joint``, when given, is a ``{(pair, n): Counter}`` dict: a table found
+    there is reused, and one computed here is stored there.
+    """
+    counts = None if joint is None else joint.get((pair, n))
+    if counts is None:
+        counts = Counter(map(stats.stat_vector, enumerate_class(pair, n)))
+        if joint is not None:
+            joint[pair, n] = counts
+    return counts
+
+
+def brute_distribution(pair: Pair, n: int, family: str, *,
+                       joint: dict | None = None) -> MultiPoly:
     """Joint distribution polynomial summed over the enumerated class.
 
-    Members are counted by their family's exponent vector, one statistics
-    pass each; the polynomial is built once from the few distinct vectors.
+    Members are counted by all eight statistics, one statistics pass each,
+    and the family's marginal is read off the distinct vectors; the
+    polynomial is built once from the marginal's exponent vectors.  Passing
+    the same ``joint`` dict for both families (see :func:`_joint_counts`)
+    enumerates and scores each class once for the two.
 
     >>> print(brute_distribution(pattern_pair((2, 3, 1), (3, 1, 2)), 3, "G"))
     p^2 y + 2 p q y z + q^2 z
@@ -56,7 +79,9 @@ def brute_distribution(pair: Pair, n: int, family: str) -> MultiPoly:
         raise ValueError(f"unknown family {family!r}")
     marked = attrgetter(*markers)
     slots = [VARS.index(var) for var in markers.values()]
-    counts = Counter(marked(stats.stat_vector(perm)) for perm in enumerate_class(pair, n))
+    counts = Counter()
+    for vec, count in _joint_counts(pair, n, joint).items():
+        counts[marked(vec)] += count
     terms = {}
     for values, count in counts.items():
         exps = [0] * len(VARS)
@@ -104,18 +129,20 @@ def _report(name, pair, family, n_range, discrepancy=None) -> VerifyReport:
     )
 
 
-def check_gf(pair: Pair, family: str, n_max: int, gf=None) -> VerifyReport:
+def check_gf(pair: Pair, family: str, n_max: int, gf=None, *,
+             joint: dict | None = None) -> VerifyReport:
     """Expansion coefficients of the catalogued form vs brute force.
 
     Passing ``gf`` substitutes a candidate form for the catalogued one,
     which lets the harness prove it would catch a corrupted entry.
+    ``joint`` is passed on to :func:`brute_distribution`.
     """
     pair = pattern_pair(*pair)
     if gf is None:
         gf = catalog.gf_for(pair, family)
     table = expand(gf, n_max)
     for n in range(n_max + 1):
-        expected = brute_distribution(pair, n, family)
+        expected = brute_distribution(pair, n, family, joint=joint)
         if table.coeffs[n] != expected:
             discrepancy = {
                 "n": n,
@@ -130,7 +157,7 @@ def check_counts(n_max: int = DEFAULT_N_COUNTS) -> VerifyReport:
     """Enumerated class sizes vs the closed-form counts, all 15 pairs."""
     for pair in all_pairs():
         for n in range(n_max + 1):
-            actual = len(enumerate_class(pair, n))
+            actual = class_size(pair, n)
             expected = catalog.class_count(pair, n)
             if actual != expected:
                 discrepancy = {
@@ -231,10 +258,14 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     if scope in ("all", "counts"):
         reports.append(check_counts(upto(DEFAULT_N_COUNTS)))
     if scope in ("all", "gf"):
+        # G fills one eight-statistic table per (pair, n) and F reads its
+        # marginal off the same table; dropped before the maps run.
+        joint = {}
         for family, default in (("G", DEFAULT_N_G), ("F", DEFAULT_N_F)):
             for pair in all_pairs():
                 if pair != FINITE_PAIR:
-                    reports.append(check_gf(pair, family, upto(default)))
+                    reports.append(check_gf(pair, family, upto(default), joint=joint))
+        del joint
     if scope in ("all", "maps"):
         reports.extend(check_equidistribution_maps(upto(DEFAULT_N_MAPS)))
     return reports

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,15 @@ from avoidpair.bijections import (
     runs_decompose,
     transfer_map,
 )
-from avoidpair.perms import decreasing, enumerate_class, identity
+from avoidpair.perms import (
+    all_perms,
+    avoids_pair,
+    decreasing,
+    enumerate_class,
+    find_occurrence,
+    identity,
+    make_permutation,
+)
 from avoidpair.stats import lrmax, lrmin, rlmax, rlmin, stat_vector
 
 # the worked pair from the layered class at n = 14 and its two images
@@ -236,3 +245,97 @@ class TestTransferMap:
                 quadruple(perm) for perm in enumerate_class(LAYERED_PAIR, n)
             )
             assert via_maps == direct == layered
+
+
+# -- the validating decoder, as it was before members were rebuilt ------------
+# The decoders now accept a tuple of ints when rebuilding it from its run
+# lengths gives it back; these references validate with the pattern scan and
+# must agree with them on every input, errors and messages included.
+
+
+def reference_require_class(perm, pair):
+    for pattern in pair:
+        positions = find_occurrence(perm, pattern)
+        if positions is not None:
+            raise NotInClassError(perm, pattern, positions)
+
+
+def reference_from_cuts(cuts, n):
+    if n == 0:
+        return ()
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+
+
+def reference_run_lengths(perm, pair, descending):
+    perm = make_permutation(perm)
+    reference_require_class(perm, pair)
+    cuts = [i for i in range(1, len(perm)) if (perm[i] > perm[i - 1]) == descending]
+    return reference_from_cuts(cuts, len(perm))
+
+
+def reference_layered_decompose(perm):
+    return reference_run_lengths(perm, LAYERED_PAIR, descending=True)
+
+
+def reference_runs_decompose(perm):
+    return reference_run_lengths(perm, RUN_PAIR, descending=False)
+
+
+def reference_complement_map(perm):
+    if len(perm) == 0:
+        raise ValueError("map is defined for n >= 1 only")
+    comp = reference_layered_decompose(perm)
+    n = sum(comp)
+    old = set(accumulate(comp))
+    return layered_compose(reference_from_cuts([b for b in range(1, n) if b not in old], n))
+
+
+def reference_transfer_map(perm):
+    if len(perm) == 0:
+        raise ValueError("map is defined for n >= 1 only")
+    return runs_compose(reference_layered_decompose(perm)[::-1])
+
+
+DECODERS = [
+    (layered_decompose, reference_layered_decompose),
+    (runs_decompose, reference_runs_decompose),
+    (complement_map, reference_complement_map),
+    (transfer_map, reference_transfer_map),
+]
+
+
+def outcome(fn, arg):
+    try:
+        return ("value", fn(arg))
+    except (TypeError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+class Int(int):
+    pass
+
+
+class TestRebuildCheck:
+    @pytest.mark.parametrize("fn,reference", DECODERS, ids=lambda f: f.__name__)
+    def test_every_permutation_up_to_seven_as_before(self, fn, reference):
+        for n in range(8):
+            for perm in all_perms(n):
+                assert outcome(fn, perm) == outcome(reference, perm), perm
+
+    @pytest.mark.parametrize("fn,reference", DECODERS, ids=lambda f: f.__name__)
+    def test_malformed_inputs_as_before(self, fn, reference):
+        inputs = [
+            (1.0, 2), (2, 1.0), (True, 2), (2, True), (Int(1), 2), ("a", 1), (1, "2"),
+            [1, 2], [2, 1], [3, 1, 2], [1, 3, 2],
+            (1, 3), (0, 1), (2, 3), (-1,), (0,), (1, 1), (2, 2, 1), (1, 2, 2), (3, 3, 3),
+        ]
+        for arg in inputs:
+            assert outcome(fn, arg) == outcome(reference, arg), arg
+        # a one-shot iterable is read once, as before
+        assert outcome(fn, iter((2, 1))) == outcome(reference, iter((2, 1)))
+
+    def test_every_rebuilt_member_avoids_its_pair(self):
+        for n in range(11):
+            for comp in compositions(n):
+                assert avoids_pair(layered_compose(comp), LAYERED_PAIR), comp
+                assert avoids_pair(runs_compose(comp), RUN_PAIR), comp

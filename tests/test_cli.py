@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 from avoidpair import catalog
 from avoidpair.cli import main
 from avoidpair.perms import CANONICAL_PAIRS, FINITE_PAIR, all_pairs, format_pair, parse_pair
+from avoidpair.polys import MultiPoly, expand
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +100,18 @@ class TestStats:
             "asc 2\ndes 2\nlrmax 3\nlrmin 2\nrlmax 2\nrlmin 2\nmna 2\nmnd 2\n"
         )
 
+    def test_json_and_csv_bytes(self, capsys):
+        expected = {
+            "json": '{"asc": 2, "des": 2, "lrmax": 3, "lrmin": 2, '
+                    '"rlmax": 2, "rlmin": 2, "mna": 2, "mnd": 2}\n',
+            "csv": "stat,value\nasc,2\ndes,2\nlrmax,3\nlrmin,2\n"
+                   "rlmax,2\nrlmin,2\nmna,2\nmnd,2\n",
+        }
+        for fmt, text in expected.items():
+            assert run_cli(capsys, "stats", "--perm", "3 4 1 5 2", "--format", fmt) == (
+                0, text, "",
+            )
+
     def test_json_flat_object(self, capsys):
         code, out, _ = run_cli(capsys, "stats", "--perm", "1 2", "--format", "json")
         assert json.loads(out) == {
@@ -143,6 +157,28 @@ class TestTable:
                     )
                     assert from_gf == from_oracle, (pair_text, family, n)
 
+    def test_too_large_n_is_a_usage_error(self, capsys):
+        # the packed exponents of the expansion would need more than 64 bits
+        n = str(10**19)
+        code, out, err = run_cli(
+            capsys, "table", "--pair", "123,132", "--family", "F", "--n", n
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: table --n {n} is too large: "
+            "marker exponents up to 20000000000000000002 do not fit a 64-bit field\n"
+        )
+
+    def test_large_representable_n_still_prints(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--pair", "123,132", "--family", "F", "--n", "60"
+        )
+        poly = expand(catalog.gf_for(parse_pair("123,132"), "F"), 60).coeffs[60]
+        assert code == 0 and err == "" and out == f"{poly}\n"
+        for name in "pquvst":
+            poly = poly.substitute_one(name)
+        assert poly == MultiPoly.const(2**59)
+
     def test_finite_pair_is_a_data_error(self, capsys):
         code, out, err = run_cli(
             capsys, "table", "--pair", "123,321", "--family", "G", "--n", "3"
@@ -185,6 +221,10 @@ class TestMap:
 
 
 class TestVerify:
+    def test_default_run_prints_the_recorded_reports(self, capsys):
+        expected = (Path(__file__).parent / "data" / "verify_default.jsonl").read_text()
+        assert run_cli(capsys, "verify") == (0, expected, "")
+
     def test_small_full_run_emits_json_lines(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
         assert code == 0

@@ -11,6 +11,7 @@ from avoidpair.perms import (
     all_pairs,
     all_perms,
     avoids_pair,
+    class_size,
     complement,
     contains,
     direct_sum,
@@ -250,3 +251,15 @@ class TestEnumeration:
                     assert avoids_pair(perm, pair) == avoids_pair(
                         reverse(perm), reversed_pair
                     )
+
+
+class TestClassSize:
+    def test_equals_the_enumerated_length(self):
+        for pair in all_pairs():
+            for n in range(13):
+                assert class_size(pair, n) == len(enumerate_class(pair, n)), (pair, n)
+
+    def test_rejects_negative_length(self):
+        for pair in (CANONICAL_PAIRS[0], FINITE_PAIR):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                class_size(pair, -1)

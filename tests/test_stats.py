@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -158,6 +159,21 @@ class TestStatVector:
             "mna": 1,
             "mnd": 0,
         }
+
+    def test_repr_and_json_key_order(self):
+        vec = stat_vector((3, 4, 1, 5, 2))
+        assert repr(vec) == (
+            "StatVector(asc=2, des=2, lrmax=3, lrmin=2, rlmax=2, rlmin=2, mna=2, mnd=2)"
+        )
+        assert list(vec.to_json_obj()) == [
+            "asc", "des", "lrmax", "lrmin", "rlmax", "rlmin", "mna", "mnd",
+        ]
+
+    def test_fields_cannot_be_assigned(self):
+        vec = stat_vector((1, 2))
+        with pytest.raises(AttributeError):
+            vec.asc = 5
+        assert vec.asc == 1
 
     def test_bounds(self):
         for n in range(7):

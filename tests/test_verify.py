@@ -77,6 +77,12 @@ class TestBruteDistribution:
                 )
 
 
+def corrupt(gf):
+    """``gf`` with its last numerator term's coefficient negated."""
+    exps, coeff = gf.num.terms()[-1]
+    return RationalGF(gf.num - MultiPoly({exps: 2 * coeff}), gf.den)
+
+
 class TestCheckGF:
     def test_passes_for_catalogued_forms(self):
         report = check_gf(pattern_pair((1, 2, 3), (1, 3, 2)), "F", 6)
@@ -93,11 +99,7 @@ class TestCheckGF:
         ],
     )
     def test_detects_a_corrupted_coefficient_early(self, pair, family):
-        gf = catalog.gf_for(pair, family)
-        # flip the sign of the last numerator term
-        exps, coeff = gf.num.terms()[-1]
-        corrupted = RationalGF(gf.num - MultiPoly({exps: 2 * coeff}), gf.den)
-        report = check_gf(pair, family, 6, gf=corrupted)
+        report = check_gf(pair, family, 6, gf=corrupt(catalog.gf_for(pair, family)))
         assert not report.passed
         assert report.first_discrepancy["n"] <= 6
 
@@ -109,6 +111,48 @@ class TestCheckGF:
         assert payload["family"] == "G"
         assert payload["n_range"] == [0, 4]
         assert payload["first_discrepancy"] is None
+
+
+class TestSharedTable:
+    def test_reports_equal_with_and_without_a_shared_table(self):
+        joint = {}
+        for family in ("G", "F"):
+            for pair in all_pairs():
+                if pair == FINITE_PAIR:
+                    continue
+                bad = corrupt(catalog.gf_for(pair, family))
+                assert check_gf(pair, family, 7, joint=joint) == check_gf(pair, family, 7)
+                failed = check_gf(pair, family, 7, gf=bad, joint=joint)
+                assert failed == check_gf(pair, family, 7, gf=bad) and not failed.passed
+
+    def test_a_table_filled_by_g_gives_f_its_marginal(self, monkeypatch):
+        joint = {}
+        for pair in all_pairs():
+            for n in range(8):
+                brute_distribution(pair, n, "G", joint=joint)
+        assert len(joint) == 15 * 8
+        fresh = {key: brute_distribution(*key, "F") for key in joint}
+        # F reads every member's vector off the table: none is computed again
+        monkeypatch.setattr(stats, "stat_vector", None)
+        for key, poly in fresh.items():
+            assert brute_distribution(*key, "F", joint=joint) == poly, key
+
+    def test_suite_shares_one_table_across_its_gf_checks(self, monkeypatch):
+        calls = []
+        original = verify.check_gf
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_gf", recording)
+        suite("gf", 3)
+        assert len(calls) == 28
+        # pair, family and n_max stay positional: callers that wrap check_gf read them
+        assert [args[1] for args, _ in calls] == ["G"] * 14 + ["F"] * 14
+        assert all(len(args) == 3 and set(kwargs) == {"joint"} for args, kwargs in calls)
+        assert len({id(kwargs["joint"]) for _, kwargs in calls}) == 1
+        assert len(calls[0][1]["joint"]) == 14 * 4
 
 
 class TestCheckCounts:
