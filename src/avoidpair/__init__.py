@@ -25,7 +25,6 @@ from .catalog import (
     class_count,
     gf_for,
     single_stat_gf,
-    symmetry_reduce,
 )
 from .perms import (
     Pair,
@@ -94,6 +93,5 @@ __all__ = [
     "single_stat_gf",
     "skew_sum",
     "stat_vector",
-    "symmetry_reduce",
     "transfer_map",
 ]

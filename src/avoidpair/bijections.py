@@ -63,7 +63,7 @@ def _require_class(perm: Perm, pair: Pair) -> None:
 
 def make_composition(parts) -> Composition:
     parts = tuple(parts)
-    if any(not isinstance(part, int) or part < 1 for part in parts):
+    if any(isinstance(part, bool) or not isinstance(part, int) or part < 1 for part in parts):
         raise ValueError(f"composition parts must be positive integers: {parts!r}")
     return parts
 

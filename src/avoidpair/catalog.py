@@ -10,9 +10,10 @@ infinite class:
 Forty single-statistic forms specialize them.  Every formula is stored as
 transcribed; where a transcription fails the enumeration oracle the entry
 also carries the oracle-corrected working form and is flagged, with the raw
-form kept for audit.  A fixed variable recipe per symmetry op extends the
-canonical entries to all fourteen pairs with an infinite class; the pair
-{123, 321} is finite and only has a counting formula.
+form kept for audit.  A variable recipe per symmetry op, derived from the
+statistic swaps in :mod:`stats`, extends the canonical entries to all
+fourteen pairs with an infinite class; the pair {123, 321} is finite and
+only has a counting formula.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .perms import (
     CANONICAL_PAIRS,
@@ -32,6 +31,7 @@ from .perms import (
     reduce_to_canonical,
 )
 from .polys import MultiPoly, RationalGF
+from .stats import STAT_SWAPS, StatVector
 
 # Each family's marked statistics, with the ring variable that marks each.
 FAMILY_MARKERS = {
@@ -41,13 +41,28 @@ FAMILY_MARKERS = {
 
 FAMILIES = tuple(FAMILY_MARKERS)
 
-STAT_NAMES = ("asc", "des", "lrmax", "lrmin", "rlmax", "rlmin", "mna", "mnd")
+STAT_NAMES = StatVector._fields
 
 # marker variable carrying each statistic
 STAT_VAR = {**FAMILY_MARKERS["F"], **FAMILY_MARKERS["G"]}
 
 F_MARKERS = tuple(FAMILY_MARKERS["F"].values())
 G_MARKERS = tuple(FAMILY_MARKERS["G"].values())
+
+
+def _recipe(markers: dict[str, str], swaps) -> dict[str, str]:
+    # Swapping the markers as the op swaps the statistics leaves at each
+    # statistic the marker of the canonical statistic it comes from.
+    image = {stat: markers.get(stat) for stat in STAT_NAMES}
+    for a, b in swaps:
+        image[a], image[b] = image[b], image[a]
+    return {image[stat]: var for stat, var in markers.items() if image[stat] != var}
+
+
+# RECIPES[family][op] renames a canonical form's variables into the form for
+# the op's image of the canonical pair.
+RECIPES = {family: {op: _recipe(markers, swaps) for op, swaps in STAT_SWAPS.items()}
+           for family, markers in FAMILY_MARKERS.items()}
 
 
 class FiniteClassError(ValueError):
@@ -73,37 +88,6 @@ class CatalogEntry:
     oracle_corrected: bool = False
     note: str = ""
 
-
-@dataclass(frozen=True)
-class SymmetryTransform:
-    """A symmetry op together with its variable recipe for one family."""
-
-    op: str
-    rename: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class CanonicalReduction:
-    canonical_pair: Pair
-    transform: SymmetryTransform
-
-
-# Variable recipes: renaming the canonical form's variables yields the form
-# for the image pair.  Reversal swaps asc/des, lrmax/rlmax, lrmin/rlmin and
-# mna/mnd; complement swaps asc/des, lrmax/lrmin, rlmax/rlmin and mna/mnd;
-# their composition swaps lrmax/rlmin and rlmax/lrmin only.
-_F_RECIPES = {
-    "identity": {},
-    "r": {"p": "q", "q": "p", "u": "v", "v": "u", "s": "t", "t": "s"},
-    "c": {"p": "q", "q": "p", "u": "s", "s": "u", "v": "t", "t": "v"},
-    "rc": {"u": "t", "t": "u", "v": "s", "s": "v"},
-}
-_G_RECIPES = {
-    "identity": {},
-    "r": {"p": "q", "q": "p", "y": "z", "z": "y"},
-    "c": {"p": "q", "q": "p", "y": "z", "z": "y"},
-    "rc": {},
-}
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
 
@@ -367,15 +351,6 @@ def single_stat_gf(pair: Pair, stat: str) -> RationalGF:
     return single_stat_entry(pair, stat).gf
 
 
-def symmetry_reduce(pair: Pair, family: str) -> CanonicalReduction:
-    """Canonical pair, op, and the family's variable recipe for ``pair``."""
-    _check_family(family)
-    canonical, op = reduce_to_canonical(pattern_pair(*pair))
-    recipes = _F_RECIPES if family == "F" else _G_RECIPES
-    transform = SymmetryTransform(op=op, rename=MappingProxyType(dict(recipes[op])))
-    return CanonicalReduction(canonical_pair=canonical, transform=transform)
-
-
 def gf_for(pair: Pair, family: str) -> RationalGF:
     """Closed form for any of the fourteen pairs with an infinite class.
 
@@ -385,9 +360,9 @@ def gf_for(pair: Pair, family: str) -> RationalGF:
     >>> lhs == canonical_gf(pattern_pair((1, 2, 3), (1, 3, 2)), "G")
     True
     """
-    reduction = symmetry_reduce(pair, family)
-    base = canonical_gf(reduction.canonical_pair, family)
-    return base.rename(dict(reduction.transform.rename))
+    recipes = RECIPES[_check_family(family)]
+    canonical, op = reduce_to_canonical(pattern_pair(*pair))
+    return canonical_gf(canonical, family).rename(recipes[op])
 
 
 def class_count(pair: Pair, n: int) -> int:

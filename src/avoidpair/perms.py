@@ -259,7 +259,7 @@ def format_pattern(patt: Perm) -> str:
 
 
 def parse_pattern(text: str) -> Perm:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"malformed pattern {text!r}")
     return make_permutation(int(ch) for ch in text)
 

@@ -112,6 +112,17 @@ class StatVector(NamedTuple):
         return self._asdict()
 
 
+# What reverse and complement do to the statistics: each exchanges the two
+# statistics of every listed pair and keeps the others.  Read backwards,
+# ascents become descents and left-to-right records right-to-left ones;
+# under v -> n + 1 - v, ascents become descents and maxima minima.
+REVERSE_SWAPS = (("asc", "des"), ("lrmax", "rlmax"), ("lrmin", "rlmin"), ("mna", "mnd"))
+COMPLEMENT_SWAPS = (("asc", "des"), ("lrmax", "lrmin"), ("rlmax", "rlmin"), ("mna", "mnd"))
+# The swaps of each op in `perms.SYMMETRY_OPS`, in the order they apply.
+STAT_SWAPS = {"identity": (), "r": REVERSE_SWAPS, "c": COMPLEMENT_SWAPS,
+              "rc": REVERSE_SWAPS + COMPLEMENT_SWAPS}
+
+
 def stat_vector(perm: Perm) -> StatVector:
     """All eight statistics in one forward and one backward scan.
 

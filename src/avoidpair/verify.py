@@ -88,7 +88,7 @@ def brute_distribution(pair: Pair, n: int, family: str, *,
         for slot, e in zip(slots, values):
             exps[slot] = e
         terms[tuple(exps)] = count
-    return MultiPoly(terms)
+    return MultiPoly._raw(terms)
 
 
 @dataclass(frozen=True)

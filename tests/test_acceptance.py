@@ -21,6 +21,7 @@ from avoidpair.perms import (
     all_perms,
     enumerate_class,
     pattern_pair,
+    reduce_to_canonical,
 )
 from avoidpair.polys import expand
 from avoidpair.stats import mna, mnd, stat_vector
@@ -110,7 +111,6 @@ def test_criterion_4_corollary_specialization():
 
 def test_criterion_5_symmetry_identities():
     with criterion(5, "each op's variable recipe reproduces the image class, F n <= 9 / G n <= 10"):
-        recipes = {"F": catalog._F_RECIPES, "G": catalog._G_RECIPES}
         for canonical in CANONICAL_PAIRS:
             if canonical == FINITE_PAIR:
                 continue
@@ -118,9 +118,10 @@ def test_criterion_5_symmetry_identities():
                 image_pair = pattern_pair(
                     SYMMETRY_OPS[op](canonical[0]), SYMMETRY_OPS[op](canonical[1])
                 )
+                assert reduce_to_canonical(image_pair)[0] == canonical
                 for family, n_max in (("F", 9), ("G", 10)):
                     transformed = catalog.canonical_gf(canonical, family).rename(
-                        recipes[family][op]
+                        catalog.RECIPES[family][op]
                     )
                     table = expand(transformed, n_max)
                     for n in range(n_max + 1):

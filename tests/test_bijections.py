@@ -60,6 +60,11 @@ class TestCompositions:
         with pytest.raises(ValueError):
             make_composition((2, 0, 1))
 
+    def test_rejects_bool_parts(self):
+        for fn in (make_composition, layered_compose, runs_compose):
+            with pytest.raises(ValueError, match="positive integers"):
+                fn((True, 2))
+
 
 class TestLayeredCodec:
     def test_worked_decomposition(self):

@@ -11,7 +11,6 @@ from avoidpair.catalog import (
     gf_for,
     single_stat_entry,
     single_stat_gf,
-    symmetry_reduce,
 )
 from avoidpair.perms import (
     CANONICAL_PAIRS,
@@ -21,6 +20,7 @@ from avoidpair.perms import (
     enumerate_class,
     filter_class,
     pattern_pair,
+    reduce_to_canonical,
 )
 from avoidpair.polys import MultiPoly, expand
 from avoidpair.stats import stat_vector
@@ -125,21 +125,55 @@ class TestJointForms:
                 assert truncated == num_truncated, (pair, family)
 
 
+# The eight variable recipes written out by hand: the reference that the
+# recipes derived from the statistic swap tables must equal.
+REFERENCE_RECIPES = {
+    "F": {
+        "identity": {},
+        "r": {"p": "q", "q": "p", "u": "v", "v": "u", "s": "t", "t": "s"},
+        "c": {"p": "q", "q": "p", "u": "s", "s": "u", "v": "t", "t": "v"},
+        "rc": {"u": "t", "t": "u", "v": "s", "s": "v"},
+    },
+    "G": {
+        "identity": {},
+        "r": {"p": "q", "q": "p", "y": "z", "z": "y"},
+        "c": {"p": "q", "q": "p", "y": "z", "z": "y"},
+        "rc": {},
+    },
+}
+
+
 class TestSymmetryMachinery:
     def test_documented_reductions(self):
-        red = symmetry_reduce(pattern_pair((1, 2, 3), (2, 1, 3)), "G")
-        assert red.canonical_pair == PAIR_123_132
-        assert red.transform.op == "rc"
-        assert dict(red.transform.rename) == {}
+        canonical, op = reduce_to_canonical(pattern_pair((1, 2, 3), (2, 1, 3)))
+        assert canonical == PAIR_123_132
+        assert op == "rc"
+        assert catalog.RECIPES["G"][op] == {}
 
-        red = symmetry_reduce(pattern_pair((1, 3, 2), (2, 1, 3)), "F")
-        assert red.canonical_pair == PAIR_231_312
-        assert red.transform.op == "r"
-        assert dict(red.transform.rename) == {
+        canonical, op = reduce_to_canonical(pattern_pair((1, 3, 2), (2, 1, 3)))
+        assert canonical == PAIR_231_312
+        assert op == "r"
+        assert catalog.RECIPES["F"][op] == {
             "p": "q", "q": "p", "u": "v", "v": "u", "s": "t", "t": "s",
         }
 
-        assert symmetry_reduce(PAIR_231_312, "G").transform.op == "identity"
+        assert reduce_to_canonical(PAIR_231_312)[1] == "identity"
+
+    def test_derived_recipes_equal_the_reference(self):
+        assert catalog.RECIPES == REFERENCE_RECIPES
+        for family in catalog.FAMILIES:
+            assert list(catalog.RECIPES[family]) == list(SYMMETRY_OPS)
+
+    @pytest.mark.parametrize("family", ["F", "G"])
+    def test_gf_for_renames_by_the_reference_recipe(self, family):
+        for pair in INFINITE_PAIRS:
+            canonical, op = reduce_to_canonical(pair)
+            expected = canonical_gf(canonical, family).rename(REFERENCE_RECIPES[family][op])
+            assert gf_for(pair, family) == expected, (pair, op)
+
+    def test_unknown_family_is_reported_before_a_bad_pair(self):
+        with pytest.raises(ValueError, match="unknown family 'H'"):
+            gf_for(((1, 1, 1), (2, 2, 2)), "H")
 
     def test_reversal_recipe_on_the_six_stat_family(self):
         queried = gf_for(pattern_pair((3, 2, 1), (2, 3, 1)), "F")
@@ -169,11 +203,9 @@ class TestSymmetryMachinery:
                 image_pair = pattern_pair(
                     SYMMETRY_OPS[op](canonical[0]), SYMMETRY_OPS[op](canonical[1])
                 )
-                recipes = {
-                    "F": catalog._F_RECIPES,
-                    "G": catalog._G_RECIPES,
-                }[family]
-                transformed = canonical_gf(canonical, family).rename(recipes[op])
+                assert reduce_to_canonical(image_pair)[0] == canonical
+                recipe = catalog.RECIPES[family][op]
+                transformed = canonical_gf(canonical, family).rename(recipe)
                 table = expand(transformed, n_max)
                 for n in range(n_max + 1):
                     assert table.coeffs[n] == filter_distribution(

@@ -288,6 +288,16 @@ class TestExitCodesEndToEnd:
         result = run_process("count", "--pair", "2x1,312", "--n", "5")
         assert result.returncode == 2
 
+    def test_usage_error_on_non_ascii_digits(self):
+        # str.isdigit accepts both; int() rejects superscripts and reads
+        # Arabic-Indic digits as 132
+        for pattern in ("¹²³", "١٣٢"):
+            result = run_process("count", "--pair", f"{pattern},123", "--n", "3")
+            assert result.returncode == 2 and result.stdout == ""
+            assert result.stderr.endswith(
+                f"error: argument --pair: malformed pattern '{pattern}'\n"
+            )
+
     def test_usage_error_on_malformed_perm(self):
         result = run_process("stats", "--perm", "1 1")
         assert result.returncode == 2

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avoidpair.perms import all_perms, complement, decreasing, enumerate_class, identity, pattern_pair, reverse
-from avoidpair.stats import StatVector, asc, des, lrmax, lrmin, mna, mnd, rlmax, rlmin, stat_vector
+from avoidpair.perms import SYMMETRY_OPS, all_perms, complement, decreasing, enumerate_class, identity, pattern_pair, reverse
+from avoidpair.stats import STAT_SWAPS, StatVector, asc, des, lrmax, lrmin, mna, mnd, rlmax, rlmin, stat_vector
 
 perms_up_to_64 = st.integers(min_value=1, max_value=64).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -123,6 +123,17 @@ class TestSymmetryIdentities:
                 assert des(perm) == asc(rev) == asc(comp)
                 assert lrmax(perm) == rlmax(rev) == lrmin(comp)
                 assert mnd(perm) == mna(rev) == mna(comp)
+
+    def test_each_op_exchanges_the_statistics_by_its_swap_table(self):
+        assert list(STAT_SWAPS) == list(SYMMETRY_OPS)
+        for n in range(9):
+            for perm in all_perms(n):
+                vec = stat_vector(perm)
+                for op, transform in SYMMETRY_OPS.items():
+                    values = vec._asdict()
+                    for a, b in STAT_SWAPS[op]:
+                        values[a], values[b] = values[b], values[a]
+                    assert stat_vector(transform(perm)) == StatVector(**values), (op, perm)
 
     def test_class_level_lrmax_rlmin_equidistribution(self):
         # over each length of the {123, 132}-avoiding class the two
