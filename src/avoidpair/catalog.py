@@ -94,8 +94,15 @@ X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
 _PAIR_123_132, _PAIR_132_321, _PAIR_231_312, _PAIR_213_231, _PAIR_213_312, _ = CANONICAL_PAIRS
 
 
-def _entry(num: MultiPoly, den: MultiPoly) -> CatalogEntry:
-    gf = RationalGF(num, den)
+def _entry(num: MultiPoly, *den_factors: MultiPoly) -> CatalogEntry:
+    # The denominator is the product of den_factors, which polys.expand
+    # divides by one at a time.  Where the transcription writes a product of
+    # linear-in-x factors they are passed apart, in the order whose
+    # expansion to n = 30 makes the fewest multiply-adds (the order changes
+    # the intermediate series, not the result).  A power of one factor stays
+    # whole: three stages of 1 - p^2 x^2 y ran slower than one of its cube.
+    first, *rest = den_factors
+    gf = RationalGF(num, math.prod(rest, start=first), den_factors)
     return CatalogEntry(gf=gf, raw=gf)
 
 
@@ -171,7 +178,7 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
         1 + S*T*U*V*X + Q*S**2*T*U*V**2*X**2 - P**3*T**2*U**2*X**3
         + P**2*T*U*X**2*(1 + T + U + S*T*U*V*X)
         - P*X*(U + S*T**2*U*V*X*(1 + Q*S*U*(-1 + V)*X) + T*(1 + U + S*U**2*V*X)),
-        (1 - P*T*X) * (1 - P*U*X) * (1 - P*T*U*X),
+        1 - P*T*X, 1 - P*T*U*X, 1 - P*U*X,
     )
 
     entries[_PAIR_231_312, "F"] = _entry(
@@ -186,7 +193,7 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
             V + S**2*V*(1 + T*U*(1 - P + V)*X)
             + S*(1 + V**2*(1 - (-1 + P)*T*U*X) + V*(2 - P*T*U*X))
         ),
-        (1 - Q*S*X) * (1 - Q*X - P*T*U*X) * (1 - Q*V*X) * (1 - Q*S*V*X),
+        1 - Q*S*V*X, 1 - Q*X - P*T*U*X, 1 - Q*S*X, 1 - Q*V*X,
     )
 
     entries[_PAIR_213_231, "F"] = _entry(
@@ -195,7 +202,7 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
         + Q**2*S*V**2*X**2 - Q*S*T*U*V**2*X**2 - P**2*Q*S*T**2*U*V*X**3
         - P*Q**2*S*T*U*V**2*X**3 + P*Q*S**2*T**2*U*V**2*X**3
         + P*Q*S*T**2*U**2*V**2*X**3 - P*Q*S**2*T**2*U**2*V**2*X**3,
-        (1 - P*T*U*X) * (1 - P*T*X - Q*V*X) * (1 - Q*S*V*X),
+        1 - P*T*U*X, 1 - Q*S*V*X, 1 - P*T*X - Q*V*X,
     )
 
     # Given as a sum of rational terms; combined here over the common
@@ -209,7 +216,7 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
         + Q*S**2*T*U*V**2*X**2 * (_d1 * _d2)
         + P*S*T**2*U**2*V*X**2 * (_d2 * _d3)
         + P*Q*S**2*T*U**2*V**2*X**3 * _d1,
-        _d1 * _d2 * _d3,
+        _d1, _d3, _d2,
     )
 
     return entries

@@ -19,7 +19,7 @@ from . import catalog, verify
 from .bijections import NotInClassError, complement_map, transfer_map
 from .catalog import FiniteClassError
 from .perms import enumerate_class, format_perm, parse_pair, parse_perm
-from .polys import ExponentOverflowError, MultiPoly, expand
+from .polys import ExponentOverflowError, MultiPoly, coefficient
 from .stats import stat_vector
 
 FORMATS = ("json", "csv", "plain")
@@ -152,9 +152,9 @@ def _cmd_table(args) -> int:
     else:
         gf = catalog.gf_for(args.pair, args.family)
         try:
-            # expand sizes its packed fields first and raises before any work.
-            # Only the printed coefficient is kept alive while it is formatted.
-            poly = expand(gf, args.n).coeffs[args.n]
+            # coefficient sizes its packed fields first and raises before any
+            # work, then unpacks only the printed coefficient.
+            poly = coefficient(gf, args.n)
         except ExponentOverflowError as exc:
             print(f"error: table --n {args.n} is too large: {exc}", file=sys.stderr)
             return 2

@@ -247,8 +247,14 @@ def format_perm(perm: Perm) -> str:
 
 
 def parse_perm(text: str) -> Perm:
+    words = text.split()
     try:
-        values = [int(part) for part in text.split()]
+        # Words of ASCII digits only: int() alone would also take signs,
+        # underscores and non-ASCII digits.  It still rejects a word longer
+        # than Python converts.
+        if not (text.isascii() and all(word.isdigit() for word in words)):
+            raise ValueError
+        values = [int(word) for word in words]
     except ValueError:
         raise ValueError(f"malformed permutation {text!r}") from None
     return make_permutation(values)

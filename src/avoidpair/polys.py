@@ -10,9 +10,11 @@ in the marker variables.
 
 from __future__ import annotations
 
+import math
 import struct
+from operator import add
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 VARS = ("x", "p", "q", "u", "v", "s", "t", "y", "z")
@@ -144,7 +146,7 @@ class MultiPoly:
         terms: dict[tuple, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 terms[exps] = terms.get(exps, 0) + c1 * c2
         return MultiPoly._raw(terms)
 
@@ -270,24 +272,47 @@ class MultiPoly:
 
 @dataclass(frozen=True)
 class RationalGF:
-    """Numerator/denominator pair; the denominator's constant term must be 1."""
+    """Numerator/denominator pair; the denominator's constant term must be 1.
+
+    ``den_factors`` optionally records the denominator as a product of
+    factors, each with constant term 1, which :func:`expand` divides by one
+    at a time.  It defaults to ``(den,)`` and takes no part in ``==``,
+    ``hash`` or ``repr``: it is a way of computing with ``den``, not part of
+    the value.
+
+    >>> x, q = MultiPoly.var("x"), MultiPoly.var("q")
+    >>> gf = RationalGF(MultiPoly.one(), (1 - x) * (1 - q*x), (1 - x, 1 - q*x))
+    >>> gf == RationalGF(MultiPoly.one(), 1 - x - q*x + q*x**2)
+    True
+    """
 
     num: MultiPoly
     den: MultiPoly
+    den_factors: tuple[MultiPoly, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.den.constant_term() != 1:
             raise ValueError("denominator constant term must be 1")
+        if not self.den_factors:
+            object.__setattr__(self, "den_factors", (self.den,))
+            return
+        if any(factor.constant_term() != 1 for factor in self.den_factors):
+            raise ValueError("denominator factor constant terms must be 1")
+        first, *rest = self.den_factors
+        if math.prod(rest, start=first) != self.den:
+            raise ValueError("denominator factors do not multiply to the denominator")
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalGF":
-        return RationalGF(self.num.rename(mapping), self.den.rename(mapping))
+        return RationalGF(self.num.rename(mapping), self.den.rename(mapping),
+                          tuple(factor.rename(mapping) for factor in self.den_factors))
 
     def substitute_one(self, *names: str) -> "RationalGF":
-        num, den = self.num, self.den
+        num, den, factors = self.num, self.den, self.den_factors
         for name in names:
             num = num.substitute_one(name)
             den = den.substitute_one(name)
-        return RationalGF(num, den)
+            factors = tuple(factor.substitute_one(name) for factor in factors)
+        return RationalGF(num, den, factors)
 
 
 @dataclass(frozen=True)
@@ -315,33 +340,64 @@ class ExponentOverflowError(ValueError):
 def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     """Truncated power series of ``gf`` in x, exact in the marker variables.
 
-    Writing num = sum_k N_k x^k and den = sum_j D_j x^j with D_0 = 1 (slices
-    free of x), the coefficients satisfy the convolution recurrence
+    Writing num = sum_k N_k x^k and a denominator factor f = sum_j F_j x^j
+    with F_0 = 1 (slices free of x), the series a/f of a series a satisfies
+    the convolution recurrence
 
-        c_k = N_k - sum_{j=1..k} D_j c_{k-j}.
+        (a/f)_k = a_k - sum_{j=1..k} F_j (a/f)_{k-j}.
 
-    Each c_k is accumulated in one dict keyed by packed exponents: the nine
-    exponents of an x-free monomial sit in equal fixed-width fields of one
-    int, x (always 0) in the lowest, so multiplying two monomials adds their
-    keys.  Only the last deg_x(den) coefficients are kept packed; each
-    finished c_k drops its zero terms and is unpacked into a MultiPoly.
+    Dividing num by the factors of ``gf.den_factors`` one after another gives
+    num/den.  All stages advance together in one loop over k: c_k enters the
+    first stage as N_k, each stage turns its input coefficient into its
+    output coefficient, and the last stage's output is c_k.  Each stage
+    keeps only its own last deg_x(f) outputs.  An unfactored denominator is
+    the one-stage case.  A product of small factors costs far fewer
+    multiply-adds than its multiplied-out form, whose every term meets
+    every kept coefficient.
+
+    Coefficients are accumulated in dicts keyed by packed exponents: the
+    nine exponents of an x-free monomial sit in equal fixed-width fields of
+    one int, x (always 0) in the lowest, so multiplying two monomials adds
+    their keys.  Each stage's output drops its zero terms, and :func:`expand`
+    unpacks every c_k into a MultiPoly (:func:`coefficient` only the last).
 
     The field width comes from the input.  Before cancellation every term
-    of c_k is a term of num times at most k terms of den, each of x-degree
-    at least 1, so its exponent of marker i is at most
-    B_i = deg_i(num) + n_max * deg_i(den).  Every key sum the recurrence
-    forms, a term of D_j times a term of c_{k-j}, is such a term of c_k.
-    Fields one guard bit wider than max B_i therefore never fill, and adding
-    two keys never carries into the next field.  The width is rounded up to
-    8, 16, 32 or 64 bits so that one ``struct`` call unpacks a key; a bound
-    that needs more raises ExponentOverflowError before any coefficient is
-    computed.
+    of a stage's k-th output is a term of num times at most k factor terms
+    of x-degree at least 1, so its exponent of marker i is at most
+    deg_i(num) + k * max_f deg_i(f).  The degree in one marker adds up over
+    a product, so deg_i(f) <= deg_i(den) for every factor f, and
+    B_i = deg_i(num) + n_max * deg_i(den) bounds every term and every key
+    sum the stages form.  Fields one guard bit wider than max B_i therefore
+    never fill, and adding two keys never carries into the next field.  The
+    width is rounded up to 8, 16, 32 or 64 bits so that one ``struct`` call
+    unpacks a key; a bound that needs more raises ExponentOverflowError
+    before any coefficient is computed.
 
     >>> x = MultiPoly.var("x")
     >>> one = MultiPoly.one()
     >>> [str(c) for c in expand(RationalGF(one, 1 - x), 3).coeffs]
     ['1', '1', '1', '1']
     """
+    decode, packed = _packed_series(gf, n_max)
+    return SeriesTable(n_max, tuple(decode(c) for c in packed))
+
+
+def coefficient(gf: RationalGF, n: int) -> MultiPoly:
+    """``expand(gf, n).coeffs[n]``, unpacking only that coefficient.
+
+    >>> x, q = MultiPoly.var("x"), MultiPoly.var("q")
+    >>> print(coefficient(RationalGF(1 - q*x, 1 - x - q*x), 3))
+    1 + q^2 + 2 q
+    """
+    decode, packed = _packed_series(gf, n)
+    (last,) = deque(packed, maxlen=1)
+    return decode(last)
+
+
+def _packed_series(gf: RationalGF, n_max: int):
+    """The kernel of :func:`expand`: a generator of the packed c_0..c_n_max
+    and the function that unpacks one into a MultiPoly.  Bad input raises
+    here, before the generator computes anything."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     num, den = gf.num._terms, gf.den._terms
@@ -355,7 +411,7 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
         raise ExponentOverflowError(
             f"marker exponents up to {bound} do not fit a 64-bit field")
     fields = struct.Struct(f"<{_NVARS}{code}")
-    size = fields.size
+    unpack, size = fields.unpack, fields.size
 
     def packed_slices(terms):
         slices: dict[int, dict[int, int]] = {}
@@ -365,26 +421,34 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
         return slices
 
     num_slices = packed_slices(num)
-    den_slices = packed_slices(den)
-    if den_slices.pop(0, None) != {0: 1}:
-        raise ValueError("denominator must have x-free part exactly 1 for expansion")
-    den_by_degree = sorted((j, list(slice_.items())) for j, slice_ in den_slices.items())
-    recent = deque(maxlen=den_by_degree[-1][0] if den_by_degree else 0)
-    unpack = fields.unpack
-    coeffs = []
-    for k in range(n_max + 1):
-        acc = dict(num_slices.get(k, ()))
-        get = acc.get
-        for j, den_terms in den_by_degree:
-            if j > k:
-                break
-            prev = recent[-j].items()
-            for ed, cd in den_terms:
-                for ec, cc in prev:
-                    e = ed + ec
-                    acc[e] = get(e, 0) - cd * cc
-        acc = {e: c for e, c in acc.items() if c}
-        recent.append(acc)
-        terms = {unpack(e.to_bytes(size, "little")): c for e, c in acc.items()}
-        coeffs.append(MultiPoly._raw(terms))
-    return SeriesTable(n_max, tuple(coeffs))
+    # One (factor terms by x-degree, last outputs) pair per stage.
+    stages = []
+    for factor in gf.den_factors:
+        slices = packed_slices(factor._terms)
+        if slices.pop(0, None) != {0: 1}:
+            raise ValueError("denominator must have x-free part exactly 1 for expansion")
+        by_degree = sorted((j, list(slice_.items())) for j, slice_ in slices.items())
+        stages.append((by_degree, deque(maxlen=by_degree[-1][0] if by_degree else 0)))
+
+    def coefficients():
+        for k in range(n_max + 1):
+            acc = num_slices.get(k, {})
+            for by_degree, recent in stages:
+                acc = dict(acc)
+                get = acc.get
+                for j, factor_terms in by_degree:
+                    if j > k:
+                        break
+                    prev = recent[-j].items()
+                    for ef, cf in factor_terms:
+                        for ec, cc in prev:
+                            e = ef + ec
+                            acc[e] = get(e, 0) - cf * cc
+                acc = {e: c for e, c in acc.items() if c}
+                recent.append(acc)
+            yield acc
+
+    def decode(acc):
+        return MultiPoly._raw({unpack(e.to_bytes(size, "little")): c for e, c in acc.items()})
+
+    return decode, coefficients()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from avoidpair import catalog
 from avoidpair.cli import main
 from avoidpair.perms import CANONICAL_PAIRS, FINITE_PAIR, all_pairs, format_pair, parse_pair
@@ -119,6 +121,29 @@ class TestStats:
             "rlmax": 1, "rlmin": 2, "mna": 1, "mnd": 0,
         }
 
+    # int() reads each of these as 2 1 or 2 10 3 ... 1: a sign, Arabic-Indic
+    # digits, an underscore between digits
+    @pytest.mark.parametrize("perm", ["+2 1", "٢ ١", "2 1_0 3 4 5 6 7 8 9 1"])
+    def test_words_other_than_ascii_digits_are_malformed(self, capsys, perm):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--perm", perm])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --perm: malformed permutation {perm!r}\n"
+        )
+
+    @pytest.mark.parametrize("perm, message", [
+        ("2 0", "value 0 out of range for length 2"),
+        ("1 3", "value 3 out of range for length 2"),
+        ("2 x", "malformed permutation '2 x'"),
+    ])
+    def test_out_of_range_and_non_numeric_messages(self, capsys, perm, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--perm", perm])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --perm: {message}\n")
+
 
 class TestTable:
     def test_plain_layered_at_three(self, capsys):
@@ -156,6 +181,23 @@ class TestTable:
                         "--n", str(n), "--oracle",
                     )
                     assert from_gf == from_oracle, (pair_text, family, n)
+
+    def test_plain_bytes_at_ten_for_every_infinite_pair(self, capsys):
+        # table_n10.txt holds F then G for each pair in all_pairs() order; CI
+        # compares the installed console script against the same file.
+        out = []
+        for pair in all_pairs():
+            if pair == FINITE_PAIR:
+                continue
+            for family in ("F", "G"):
+                code, text, err = run_cli(
+                    capsys, "table", "--pair", format_pair(pair), "--family", family,
+                    "--n", "10",
+                )
+                assert code == 0 and err == ""
+                out.append(text)
+        expected = (Path(__file__).parent / "data" / "table_n10.txt").read_bytes()
+        assert "".join(out).encode() == expected
 
     def test_too_large_n_is_a_usage_error(self, capsys):
         # the packed exponents of the expansion would need more than 64 bits

@@ -1,12 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidpair.catalog import gf_for
+from avoidpair.catalog import FAMILIES, gf_for
 from avoidpair.perms import FINITE_PAIR, all_pairs, format_pair, parse_pair
-from avoidpair.polys import VARS, MultiPoly, RationalGF, SeriesTable, expand
+from avoidpair.polys import VARS, MultiPoly, RationalGF, SeriesTable, coefficient, expand
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
 
@@ -303,3 +304,90 @@ class TestPackedKernel:
         if exact:
             slices = quotient.x_slices()
             assert list(table.coeffs) == [slices.get(k, MultiPoly.zero()) for k in range(n_max + 1)]
+
+
+class TestStagedKernel:
+    """expand divides by each of den_factors in turn: the same series as the
+    multiplied-out denominator, which RationalGF checks the factors against."""
+
+    @settings(deadline=None)  # the reference multiplies whole MultiPolys
+    @given(
+        marker_poly((0, 1, 2, 3), 6),
+        st.lists(marker_poly((1, 2), 6), min_size=1, max_size=4),
+        st.integers(0, 8),
+    )
+    def test_random_factor_lists_match_the_reference(self, num, factor_tails, n_max):
+        factors = tuple(1 + tail for tail in factor_tails)
+        den = math.prod(factors, start=MultiPoly.one())
+        staged = RationalGF(num, den, factors)
+        assert staged.den_factors == factors
+        table = expand(staged, n_max)
+        assert table == reference_expand(RationalGF(num, den), n_max)
+        assert coefficient(staged, n_max) == table.coeffs[n_max]
+
+    def test_factors_default_to_the_denominator(self):
+        den = 1 - X - Q * X
+        assert RationalGF(MultiPoly.one(), den).den_factors == (den,)
+
+    def test_rejects_factors_that_do_not_multiply_to_the_denominator(self):
+        with pytest.raises(ValueError, match="multiply"):
+            RationalGF(MultiPoly.one(), (1 - X) * (1 - Q * X), (1 - X, 1 - P * X))
+        with pytest.raises(ValueError, match="multiply"):
+            RationalGF(MultiPoly.one(), (1 - X) * (1 - Q * X), (1 - X,))
+
+    def test_rejects_factors_whose_constant_term_is_not_1(self):
+        # the product still has constant term 1
+        with pytest.raises(ValueError, match="factor constant"):
+            RationalGF(MultiPoly.one(), (1 - X) * (1 - Q * X), (X - 1, Q * X - 1))
+
+    def test_rejects_factors_whose_x_free_part_is_not_1(self):
+        # constant terms 1 and the product matches, but the first stage
+        # cannot divide by 1 + v
+        gf = RationalGF(MultiPoly.one(), (1 + V) * (1 - X), (1 + V, 1 - X))
+        with pytest.raises(ValueError, match="x-free part"):
+            expand(gf, 3)
+        with pytest.raises(ValueError, match="x-free part"):
+            coefficient(gf, 3)
+
+    def test_rename_and_substitute_one_map_each_factor(self):
+        mapping = {"p": "q", "q": "p", "u": "t", "t": "u"}
+        for pair in INFINITE_PAIRS:
+            for family in FAMILIES:
+                gf = gf_for(pair, family)
+                for image, factors in [
+                    (gf.rename(mapping), [f.rename(mapping) for f in gf.den_factors]),
+                    (gf.substitute_one("q", "s"),
+                     [f.substitute_one("q").substitute_one("s") for f in gf.den_factors]),
+                ]:
+                    assert list(image.den_factors) == factors
+                    assert math.prod(factors, start=MultiPoly.one()) == image.den
+
+    def test_factors_take_no_part_in_eq_hash_or_repr(self):
+        num, den = 1 - Q * X, (1 - X) * (1 - Q * X)
+        plain, staged = RationalGF(num, den), RationalGF(num, den, (1 - X, 1 - Q * X))
+        assert plain == staged and hash(plain) == hash(staged)
+        assert repr(staged) == repr(plain) == f"RationalGF(num={num!r}, den={den!r})"
+
+    def test_catalog_forms_with_factors_match_their_one_stage_form(self):
+        # four of the five canonical F forms carry factors; with their
+        # images under the symmetry ops, ten of the 28 forms do
+        staged = 0
+        for pair in INFINITE_PAIRS:
+            for family in FAMILIES:
+                gf = gf_for(pair, family)
+                if len(gf.den_factors) > 1:
+                    staged += 1
+                    assert expand(gf, 12) == expand(RationalGF(gf.num, gf.den), 12)
+        assert staged == 10
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_coefficient_is_the_last_coefficient_of_expand(self, n):
+        gf = gf_for(parse_pair("231,312"), "F")
+        assert coefficient(gf, n) == expand(gf, n).coeffs[n]
+
+    def test_coefficient_rejects_what_expand_rejects(self):
+        gf = RationalGF(MultiPoly.one(), 1 - Q**(2**63) * X)
+        with pytest.raises(ValueError, match="64-bit field"):
+            coefficient(gf, 1)
+        with pytest.raises(ValueError):
+            coefficient(RationalGF(MultiPoly.one(), 1 - X), -1)
