@@ -6,32 +6,92 @@ A rational generating function is a numerator/denominator pair whose
 denominator has unit constant term, and :func:`expand` turns one into a
 truncated power series in ``x`` whose coefficients stay exact polynomials
 in the marker variables.
+
+A term is stored under one int key that packs its nine exponents into
+64-bit fields, so multiplying two monomials adds their keys.  Every
+exponent lies in 0..2^64 - 1; a product or renaming whose exponents would
+not fit raises :class:`ExponentOverflowError` rather than carry into the
+next field.  Exponent vectors are unpacked, in ``VARS`` order, only for
+the public views (:meth:`MultiPoly.terms`, ``str``, the wire format and
+:meth:`MultiPoly.evaluate`).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from operator import add
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
 VARS = ("x", "p", "q", "u", "v", "s", "t", "y", "z")
 
 _INDEX = {name: i for i, name in enumerate(VARS)}
 _NVARS = len(VARS)
-_ZERO_EXPS = (0,) * _NVARS
-# struct codes of the unsigned little-endian fields expand packs exponents into
-_FIELD_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+# The fields of a key, from the lowest up.  The G markers come first so that
+# x-free G keys stay four fields long (longer keys make the expansion kernel
+# slower), and x is on top, so key >> _X_SHIFT is the x-degree.
+_LAYOUT = ("p", "q", "y", "z", "u", "v", "s", "t", "x")
+_FIELD_BITS = 64
+_FIELD_MAX = (1 << _FIELD_BITS) - 1
+_SHIFT = {name: _FIELD_BITS * i for i, name in enumerate(_LAYOUT)}
+_X_SHIFT = _SHIFT["x"]
+_X_FREE = (1 << _X_SHIFT) - 1
+# the top bit of every field: keys whose OR misses all of them add without carry
+_TOP_BITS = sum(1 << (shift + _FIELD_BITS - 1) for shift in _SHIFT.values())
+_FIELDS = struct.Struct(f"<{_NVARS}Q")
+_KEY_BYTES = _FIELDS.size
+_NO_FIELDS = (0,) * _NVARS
+_to_layout = itemgetter(*(_INDEX[name] for name in _LAYOUT))
+_to_vars = itemgetter(*(_LAYOUT.index(name) for name in VARS))
+# (name, index in VARS) in the alphabetical order str writes variables in
+_RENDER_ORDER = sorted(_INDEX.items())
 
 
-def _term_key(exps: tuple) -> tuple:
-    # Canonical term order: by x-degree, with the bare power of x leading its
-    # degree class, then descending lex on the markers, so a fixed-size
-    # coefficient prints like "p^2 y + 2 p q y z + q^2 z".
+class ExponentOverflowError(ValueError):
+    """An exponent would not fit its 64-bit field.
+
+    :func:`expand` raises it before computing anything when the marker
+    exponents of the expansion could need more than 63 bits, and products,
+    renamings and the constructor when an exponent would pass 2^64 - 1.
+    """
+
+
+def _pack(exps: tuple) -> int:
+    return int.from_bytes(_FIELDS.pack(*_to_layout(exps)), "little")
+
+
+def _fields(keys: Iterable[int]) -> Iterable[tuple]:
+    """The exponents of each key, in ``_LAYOUT`` order (one struct call each)."""
+    return map(_FIELDS.unpack, map(int.to_bytes, keys, repeat(_KEY_BYTES), repeat("little")))
+
+
+def _unpack(keys: Iterable[int]) -> Iterable[tuple]:
+    """The exponent vector of each key, in ``VARS`` order."""
+    return map(_to_vars, _fields(keys))
+
+
+def _field_maxima(keys: Iterable[int]) -> tuple:
+    """The largest exponent in each field, in ``_LAYOUT`` order."""
+    return tuple(map(max, zip(_NO_FIELDS, *_fields(keys))))
+
+
+def _nonzero(terms: dict) -> dict:
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+def _term_order(item: tuple) -> tuple:
+    # Canonical term order, as a key to sort in reverse: by x-degree, with
+    # the bare power of x leading its degree class, then descending lex on
+    # the markers, so a fixed-size coefficient prints like
+    # "p^2 y + 2 p q y z + q^2 z".
+    exps = item[0]
     markers = exps[1:]
-    return (exps[0], any(markers), tuple(-e for e in markers))
+    return (-exps[0], not any(markers), markers)
 
 
 class MultiPoly:
@@ -44,6 +104,9 @@ class MultiPoly:
     >>> p, q, y, z = map(MultiPoly.var, "pqyz")
     >>> print(q**2*z + 2*p*q*y*z + p**2*y)
     p^2 y + 2 p q y z + q^2 z
+
+    The constructor takes exponent vectors in ``VARS`` order; each exponent
+    is an int (not a bool) in 0..2^64 - 1.
     """
 
     __slots__ = ("_terms",)
@@ -52,18 +115,24 @@ class MultiPoly:
         cleaned = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != _NVARS or any(not isinstance(e, int) or e < 0 for e in exps):
+            if len(exps) != _NVARS or any(
+                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps
+            ):
                 raise ValueError(f"bad exponent vector: {exps!r}")
+            if max(exps) > _FIELD_MAX:
+                raise ExponentOverflowError(
+                    f"exponent vector {exps!r} does not fit 64-bit fields")
             if isinstance(coeff, bool) or not isinstance(coeff, int):
                 raise ValueError(f"non-integer coefficient: {coeff!r}")
             if coeff:
-                cleaned[exps] = coeff
+                cleaned[_pack(exps)] = coeff
         self._terms = cleaned
 
     @classmethod
     def _raw(cls, terms: dict) -> "MultiPoly":
+        # Takes ownership of ``terms``: packed keys, no zero coefficient.
         poly = object.__new__(cls)
-        poly._terms = {e: c for e, c in terms.items() if c}
+        poly._terms = terms
         return poly
 
     @classmethod
@@ -72,19 +141,17 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls._raw({_ZERO_EXPS: 1})
+        return cls._raw({0: 1})
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
-        return cls._raw({_ZERO_EXPS: c})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
         if name not in _INDEX:
             raise ValueError(f"unknown variable {name!r}; ring variables are {VARS}")
-        exps = [0] * _NVARS
-        exps[_INDEX[name]] = 1
-        return cls._raw({tuple(exps): 1})
+        return cls._raw({1 << _SHIFT[name]: 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -93,15 +160,16 @@ class MultiPoly:
 
     def terms(self) -> list[tuple[tuple, int]]:
         """Terms as (exponent vector, coefficient), in canonical order."""
-        return sorted(self._terms.items(), key=lambda item: _term_key(item[0]))
+        terms = self._terms
+        return sorted(zip(_unpack(terms), terms.values()), key=_term_order, reverse=True)
 
     def constant_term(self) -> int:
-        return self._terms.get(_ZERO_EXPS, 0)
+        return self._terms.get(0, 0)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of ``name``; -1 for the zero polynomial."""
-        i = _INDEX[name]
-        return max((e[i] for e in self._terms), default=-1)
+        shift = _SHIFT[name]
+        return max((key >> shift & _FIELD_MAX for key in self._terms), default=-1)
 
     # -- ring arithmetic --------------------------------------------------
 
@@ -118,14 +186,14 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly._raw(terms)
+        for key, coeff in other._terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+        return MultiPoly._raw(_nonzero(terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw({e: -c for e, c in self._terms.items()})
+        return MultiPoly._raw({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -143,12 +211,20 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(map(add, e1, e2))
-                terms[exps] = terms.get(exps, 0) + c1 * c2
-        return MultiPoly._raw(terms)
+        left, right = self._terms, other._terms
+        if (reduce(or_, left, 0) | reduce(or_, right, 0)) & _TOP_BITS:
+            # Some field reaches 2^63: check that no field sum passes 2^64 - 1.
+            for name, a, b in zip(_LAYOUT, _field_maxima(left), _field_maxima(right)):
+                if a + b > _FIELD_MAX:
+                    raise ExponentOverflowError(
+                        f"exponents of {name} up to {a + b} do not fit a 64-bit field")
+        terms: dict[int, int] = {}
+        get = terms.get
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+        return MultiPoly._raw(_nonzero(terms))
 
     __rmul__ = __mul__
 
@@ -160,8 +236,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -182,43 +259,52 @@ class MultiPoly:
         >>> print((p**2*y + 2*p*q*y*z + q**2*z).substitute_one("y").substitute_one("z"))
         p^2 + 2 p q + q^2
         """
-        i = _INDEX[name]
-        terms: dict[tuple, int] = {}
-        for exps, coeff in self._terms.items():
-            reduced = exps[:i] + (0,) + exps[i + 1 :]
-            terms[reduced] = terms.get(reduced, 0) + coeff
-        return MultiPoly._raw(terms)
+        keep = ~(_FIELD_MAX << _SHIFT[name])
+        terms: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            key &= keep
+            terms[key] = terms.get(key, 0) + coeff
+        return MultiPoly._raw(_nonzero(terms))
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Apply a simultaneous variable renaming (must be injective)."""
         targets = list(mapping.values())
         if len(set(targets)) != len(targets):
             raise ValueError(f"renaming is not injective: {mapping!r}")
-        moves = {_INDEX[old]: _INDEX[new] for old, new in mapping.items()}
-        terms: dict[tuple, int] = {}
-        for exps, coeff in self._terms.items():
-            new_exps = [0] * _NVARS
-            for i, e in enumerate(exps):
-                new_exps[moves.get(i, i)] += e
-            terms[tuple(new_exps)] = terms.get(tuple(new_exps), 0) + coeff
-        return MultiPoly._raw(terms)
+        moves = [(_SHIFT[old], _SHIFT[new]) for old, new in mapping.items()]
+        keep = ~sum(_FIELD_MAX << _SHIFT[old] for old in mapping)
+        # a target that is not renamed itself keeps its own exponent, and the
+        # moved one adds to it
+        merges = [(_SHIFT[old], _SHIFT[new], new) for old, new in mapping.items()
+                  if new not in mapping]
+        terms: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            for src, dst, name in merges:
+                total = (key >> src & _FIELD_MAX) + (key >> dst & _FIELD_MAX)
+                if total > _FIELD_MAX:
+                    raise ExponentOverflowError(
+                        f"exponent {total} of {name} does not fit a 64-bit field")
+            new = key & keep
+            for src, dst in moves:
+                new += (key >> src & _FIELD_MAX) << dst
+            terms[new] = terms.get(new, 0) + coeff
+        return MultiPoly._raw(_nonzero(terms))
 
     def x_slices(self) -> dict[int, "MultiPoly"]:
         """Split by x-degree into x-free polynomials, keyed by the degree."""
         slices: dict[int, dict] = {}
-        for exps, coeff in self._terms.items():
-            stripped = (0,) + exps[1:]
-            slices.setdefault(exps[0], {})[stripped] = coeff
+        for key, coeff in self._terms.items():
+            slices.setdefault(key >> _X_SHIFT, {})[key & _X_FREE] = coeff
         return {d: MultiPoly._raw(t) for d, t in slices.items()}
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Value at an integer point; every used variable must be assigned."""
         total = 0
-        for exps, coeff in self._terms.items():
+        for exps, coeff in zip(_unpack(self._terms), self._terms.values()):
             value = coeff
-            for i, e in enumerate(exps):
+            for name, e in zip(VARS, exps):
                 if e:
-                    value *= assignment[VARS[i]] ** e
+                    value *= assignment[name] ** e
             total += value
         return total
 
@@ -230,8 +316,8 @@ class MultiPoly:
         rendered = []
         for exps, coeff in self.terms():
             factors = []
-            for name in sorted(VARS):
-                e = exps[_INDEX[name]]
+            for name, i in _RENDER_ORDER:
+                e = exps[i]
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -267,7 +353,7 @@ class MultiPoly:
                 exps[_INDEX[name]] = int(e)
             exps = tuple(exps)
             terms[exps] = terms.get(exps, 0) + int(item["coeff"])
-        return cls._raw(terms)
+        return cls(terms)
 
 
 @dataclass(frozen=True)
@@ -333,10 +419,6 @@ class SeriesTable:
         }
 
 
-class ExponentOverflowError(ValueError):
-    """An expansion's marker exponents would not fit a 64-bit packed field."""
-
-
 def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     """Truncated power series of ``gf`` in x, exact in the marker variables.
 
@@ -355,79 +437,63 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     multiply-adds than its multiplied-out form, whose every term meets
     every kept coefficient.
 
-    Coefficients are accumulated in dicts keyed by packed exponents: the
-    nine exponents of an x-free monomial sit in equal fixed-width fields of
-    one int, x (always 0) in the lowest, so multiplying two monomials adds
-    their keys.  Each stage's output drops its zero terms, and :func:`expand`
-    unpacks every c_k into a MultiPoly (:func:`coefficient` only the last).
+    Coefficients are accumulated in dicts keyed by the ring's packed
+    exponents (see :class:`MultiPoly`), so multiplying two monomials adds
+    their keys.  Each stage's output drops its zero terms and is already a
+    coefficient's term dict: the last stage's outputs become the returned
+    MultiPolys as they are, with no unpacking and no copy.
 
-    The field width comes from the input.  Before cancellation every term
-    of a stage's k-th output is a term of num times at most k factor terms
-    of x-degree at least 1, so its exponent of marker i is at most
+    The ring's fields are 64 bits wide.  Before cancellation every term of
+    a stage's k-th output is a term of num times at most k factor terms of
+    x-degree at least 1, so its exponent of marker i is at most
     deg_i(num) + k * max_f deg_i(f).  The degree in one marker adds up over
     a product, so deg_i(f) <= deg_i(den) for every factor f, and
     B_i = deg_i(num) + n_max * deg_i(den) bounds every term and every key
-    sum the stages form.  Fields one guard bit wider than max B_i therefore
-    never fill, and adding two keys never carries into the next field.  The
-    width is rounded up to 8, 16, 32 or 64 bits so that one ``struct`` call
-    unpacks a key; a bound that needs more raises ExponentOverflowError
-    before any coefficient is computed.
+    sum the stages form.  If max B_i plus one guard bit fits a field, no
+    key sum carries into the next field; a bound that needs more than 64
+    bits raises ExponentOverflowError before any coefficient is computed.
 
     >>> x = MultiPoly.var("x")
     >>> one = MultiPoly.one()
     >>> [str(c) for c in expand(RationalGF(one, 1 - x), 3).coeffs]
     ['1', '1', '1', '1']
     """
-    decode, packed = _packed_series(gf, n_max)
-    return SeriesTable(n_max, tuple(decode(c) for c in packed))
+    return SeriesTable(n_max, tuple(map(MultiPoly._raw, _packed_series(gf, n_max))))
 
 
 def coefficient(gf: RationalGF, n: int) -> MultiPoly:
-    """``expand(gf, n).coeffs[n]``, unpacking only that coefficient.
+    """``expand(gf, n).coeffs[n]``, keeping only the stages' recent outputs.
 
     >>> x, q = MultiPoly.var("x"), MultiPoly.var("q")
     >>> print(coefficient(RationalGF(1 - q*x, 1 - x - q*x), 3))
     1 + q^2 + 2 q
     """
-    decode, packed = _packed_series(gf, n)
-    (last,) = deque(packed, maxlen=1)
-    return decode(last)
+    (last,) = deque(_packed_series(gf, n), maxlen=1)
+    return MultiPoly._raw(last)
 
 
 def _packed_series(gf: RationalGF, n_max: int):
-    """The kernel of :func:`expand`: a generator of the packed c_0..c_n_max
-    and the function that unpacks one into a MultiPoly.  Bad input raises
-    here, before the generator computes anything."""
+    """The kernel of :func:`expand`: a generator of the term dicts of
+    c_0..c_n_max.  Bad input raises here, before the generator computes
+    anything."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    num, den = gf.num._terms, gf.den._terms
-    bound = max(
-        max((e[i] for e in num), default=0) + n_max * max((e[i] for e in den), default=0)
-        for i in range(1, _NVARS)
-    )
-    bits = bound.bit_length() + 1  # the guard bit
-    code = next((c for width, c in _FIELD_CODES if width >= bits), None)
-    if code is None:
+    num_max = _field_maxima(gf.num._terms)
+    den_max = _field_maxima(gf.den._terms)
+    bound = max(num_max[i] + n_max * den_max[i]
+                for i, name in enumerate(_LAYOUT) if name != "x")
+    if bound.bit_length() + 1 > _FIELD_BITS:  # the guard bit
         raise ExponentOverflowError(
             f"marker exponents up to {bound} do not fit a 64-bit field")
-    fields = struct.Struct(f"<{_NVARS}{code}")
-    unpack, size = fields.unpack, fields.size
 
-    def packed_slices(terms):
-        slices: dict[int, dict[int, int]] = {}
-        for exps, coeff in terms.items():
-            key = int.from_bytes(fields.pack(0, *exps[1:]), "little")
-            slices.setdefault(exps[0], {})[key] = coeff
-        return slices
-
-    num_slices = packed_slices(num)
+    num_slices = {j: slice_._terms for j, slice_ in gf.num.x_slices().items()}
     # One (factor terms by x-degree, last outputs) pair per stage.
     stages = []
     for factor in gf.den_factors:
-        slices = packed_slices(factor._terms)
-        if slices.pop(0, None) != {0: 1}:
+        slices = factor.x_slices()
+        if slices.pop(0, None) != MultiPoly.one():
             raise ValueError("denominator must have x-free part exactly 1 for expansion")
-        by_degree = sorted((j, list(slice_.items())) for j, slice_ in slices.items())
+        by_degree = sorted((j, list(slice_._terms.items())) for j, slice_ in slices.items())
         stages.append((by_degree, deque(maxlen=by_degree[-1][0] if by_degree else 0)))
 
     def coefficients():
@@ -444,11 +510,8 @@ def _packed_series(gf: RationalGF, n_max: int):
                         for ec, cc in prev:
                             e = ef + ec
                             acc[e] = get(e, 0) - cf * cc
-                acc = {e: c for e, c in acc.items() if c}
+                acc = _nonzero(acc)
                 recent.append(acc)
             yield acc
 
-    def decode(acc):
-        return MultiPoly._raw({unpack(e.to_bytes(size, "little")): c for e, c in acc.items()})
-
-    return decode, coefficients()
+    return coefficients()

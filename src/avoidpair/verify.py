@@ -37,7 +37,7 @@ from .perms import (
     pattern_pair,
     reverse,
 )
-from .polys import VARS, MultiPoly, expand
+from .polys import _SHIFT, MultiPoly, expand
 
 DEFAULT_N_COUNTS = 12
 DEFAULT_N_G = 10
@@ -66,10 +66,11 @@ def brute_distribution(pair: Pair, n: int, family: str, *,
     """Joint distribution polynomial summed over the enumerated class.
 
     Members are counted by all eight statistics, one statistics pass each,
-    and the family's marginal is read off the distinct vectors; the
-    polynomial is built once from the marginal's exponent vectors.  Passing
-    the same ``joint`` dict for both families (see :func:`_joint_counts`)
-    enumerates and scores each class once for the two.
+    and the family's marginal is read off the distinct vectors; each
+    distinct marginal vector is packed straight into a term key of the
+    polynomial.  Passing the same ``joint`` dict for both families (see
+    :func:`_joint_counts`) enumerates and scores each class once for the
+    two.
 
     >>> print(brute_distribution(pattern_pair((2, 3, 1), (3, 1, 2)), 3, "G"))
     p^2 y + 2 p q y z + q^2 z
@@ -78,16 +79,13 @@ def brute_distribution(pair: Pair, n: int, family: str, *,
     if markers is None:
         raise ValueError(f"unknown family {family!r}")
     marked = attrgetter(*markers)
-    slots = [VARS.index(var) for var in markers.values()]
+    shifts = [_SHIFT[var] for var in markers.values()]
     counts = Counter()
     for vec, count in _joint_counts(pair, n, joint).items():
         counts[marked(vec)] += count
     terms = {}
     for values, count in counts.items():
-        exps = [0] * len(VARS)
-        for slot, e in zip(slots, values):
-            exps[slot] = e
-        terms[tuple(exps)] = count
+        terms[sum(e << shift for e, shift in zip(values, shifts))] = count
     return MultiPoly._raw(terms)
 
 

@@ -22,7 +22,7 @@ from avoidpair.perms import (
     pattern_pair,
     reduce_to_canonical,
 )
-from avoidpair.polys import MultiPoly, expand
+from avoidpair.polys import MultiPoly, RationalGF, expand
 from avoidpair.stats import stat_vector
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
@@ -124,6 +124,69 @@ class TestJointForms:
                 )
                 assert truncated == num_truncated, (pair, family)
 
+
+
+def same_rational(a, b):
+    """a == b as rational functions: num_a den_b == num_b den_a."""
+    return a.num * b.den == b.num * a.den
+
+
+# The count GFs: sum 2^(n-1) x^n (and 1 at n = 0), and for 132,321
+# sum (1 + C(n, 2)) x^n = 1/(1 - x) + x^2/(1 - x)^3.
+DOUBLING_GF = RationalGF(1 - X, 1 - 2*X)
+QUADRATIC_GF = RationalGF(1 - 2*X + 2*X**2, (1 - X) ** 3)
+
+
+def all_markers_one(gf):
+    return gf.substitute_one(*"pquvstyz")
+
+
+class TestIdentitiesForAllN:
+    """Cross-multiplied rational-function identities: each holds for every
+    n, not only up to an enumerated length."""
+
+    CANONICAL = [pair for pair in CANONICAL_PAIRS if pair != FINITE_PAIR]
+
+    def test_count_gfs_match_class_count(self):
+        for gf, pair in [(DOUBLING_GF, PAIR_123_132), (QUADRATIC_GF, PAIR_132_321)]:
+            assert [c.constant_term() for c in expand(gf, 12).coeffs] == [
+                class_count(pair, n) for n in range(13)]
+
+    def test_each_single_statistic_form_is_its_joint_form_at_other_markers_one(self):
+        checked = 0
+        for pair in self.CANONICAL:
+            for stat in catalog.STAT_NAMES:
+                keep = catalog.STAT_VAR[stat]
+                family = "G" if keep in catalog.G_MARKERS else "F"
+                markers = catalog.G_MARKERS if family == "G" else catalog.F_MARKERS
+                joint = canonical_gf(pair, family).substitute_one(
+                    *(m for m in markers if m != keep))
+                assert same_rational(single_stat_gf(pair, stat), joint), (pair, stat)
+                checked += 1
+        assert checked == 40
+
+    def test_f_at_u_v_s_t_one_is_g_at_y_z_one(self):
+        for pair in self.CANONICAL:
+            f = canonical_gf(pair, "F").substitute_one("u", "v", "s", "t")
+            g = canonical_gf(pair, "G").substitute_one("y", "z")
+            assert same_rational(f, g), pair
+
+    def test_every_form_with_all_markers_one_is_the_count_gf(self):
+        for pair in self.CANONICAL:
+            count_gf = QUADRATIC_GF if pair == PAIR_132_321 else DOUBLING_GF
+            forms = [canonical_gf(pair, family) for family in catalog.FAMILIES]
+            forms += [single_stat_gf(pair, stat) for stat in catalog.STAT_NAMES]
+            for gf in forms:
+                assert same_rational(all_markers_one(gf), count_gf), pair
+
+    def test_raw_transcriptions_the_oracle_corrected_fail_the_count_identity(self):
+        # the identities can fail: these raw forms miss the empty permutation
+        for stat in ("mna", "mnd"):
+            entry = single_stat_entry(PAIR_213_312, stat)
+            assert entry.oracle_corrected
+            assert not same_rational(all_markers_one(entry.raw), DOUBLING_GF)
+        entry = canonical_entry(PAIR_213_312, "G")
+        assert not same_rational(all_markers_one(entry.raw), DOUBLING_GF)
 
 # The eight variable recipes written out by hand: the reference that the
 # recipes derived from the statistic swap tables must equal.

@@ -318,6 +318,15 @@ class TestCatalogDump:
         code, out, _ = run_cli(capsys, "catalog-dump", "--format", "csv")
         assert out.startswith("family,pair,part,monomial,coefficient\n")
 
+    @pytest.mark.parametrize("fmt, name", [("json", "catalog_dump.json"),
+                                           ("csv", "catalog_dump.csv"),
+                                           ("plain", "catalog_dump.txt")])
+    def test_bytes_match_the_recorded_dump(self, capsys, fmt, name):
+        # CI compares the installed console script against the same files.
+        expected = (Path(__file__).parent / "data" / name).read_bytes()
+        code, out, err = run_cli(capsys, "catalog-dump", "--format", fmt)
+        assert (code, out.encode(), err) == (0, expected, "")
+
 
 class TestExitCodesEndToEnd:
     """Real subprocess runs: 0 success, 1 data failure, 2 usage error."""

@@ -1,5 +1,6 @@
 import math
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,15 @@ from hypothesis import strategies as st
 
 from avoidpair.catalog import FAMILIES, gf_for
 from avoidpair.perms import FINITE_PAIR, all_pairs, format_pair, parse_pair
-from avoidpair.polys import VARS, MultiPoly, RationalGF, SeriesTable, coefficient, expand
+from avoidpair.polys import (
+    VARS,
+    ExponentOverflowError,
+    MultiPoly,
+    RationalGF,
+    SeriesTable,
+    coefficient,
+    expand,
+)
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
 
@@ -42,6 +51,126 @@ def reference_expand(gf: RationalGF, n_max: int) -> SeriesTable:
             c = c - den_slices[j] * coeffs[k - j]
         coeffs.append(c)
     return SeriesTable(n_max, tuple(coeffs))
+
+
+FIELD_MAX = 2**64 - 1
+
+
+def _ref_collect(items) -> "RefPoly":
+    """Sum (exponent tuple, coefficient) pairs; any exponent past
+    FIELD_MAX, before like terms merge, is an overflow."""
+    terms = {}
+    for exps, coeff in items:
+        if max(exps) > FIELD_MAX:
+            raise ExponentOverflowError(f"{exps!r}")
+        terms[exps] = terms.get(exps, 0) + coeff
+    return RefPoly(terms)
+
+
+def _ref_term_key(exps):
+    markers = exps[1:]
+    return (exps[0], any(markers), tuple(-e for e in markers))
+
+
+class RefPoly:
+    """The tuple-keyed ring that packed keys replaced: terms map exponent
+    tuples in VARS order to non-zero coefficients."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        return _ref_collect([*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return RefPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return _ref_collect((tuple(map(add, e1, e2)), c1 * c2)
+                            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
+
+    def __pow__(self, n):
+        result = RefPoly({(0,) * len(VARS): 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def rename(self, mapping):
+        def moved(exps):
+            new = [0] * len(VARS)
+            for name, e in zip(VARS, exps):
+                new[VARS.index(mapping.get(name, name))] += e
+            return tuple(new)
+        return _ref_collect((moved(e), c) for e, c in self.terms.items())
+
+    def substitute_one(self, name):
+        i = VARS.index(name)
+        return _ref_collect((e[:i] + (0,) + e[i + 1:], c) for e, c in self.terms.items())
+
+    def x_slices(self):
+        slices = {}
+        for e, c in self.terms.items():
+            slices.setdefault(e[0], {})[(0,) + e[1:]] = c
+        return slices
+
+    def evaluate(self, point):
+        return sum(c * math.prod(point[name] ** k for name, k in zip(VARS, e))
+                   for e, c in self.terms.items())
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: _ref_term_key(item[0]))
+
+    def __str__(self):
+        out = ""
+        for exps, coeff in self.sorted_terms():
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in sorted(zip(VARS, exps)) if e]
+            if not factors or abs(coeff) != 1:
+                factors.insert(0, str(abs(coeff)))
+            sign = ("-" if coeff < 0 else "") if not out else (" - " if coeff < 0 else " + ")
+            out += sign + " ".join(factors)
+        return out or "0"
+
+    def to_json_terms(self):
+        return [{"exponents": {n: e for n, e in zip(VARS, exps) if e}, "coeff": str(c)}
+                for exps, c in self.sorted_terms()]
+
+
+def outcome(fn):
+    """fn's result, or ExponentOverflowError if it raised one."""
+    try:
+        return fn()
+    except ExponentOverflowError:
+        return ExponentOverflowError
+
+
+def assert_matches(poly, ref):
+    if ref is ExponentOverflowError or poly is ExponentOverflowError:
+        assert poly is ref
+        return
+    assert poly.terms() == ref.sorted_terms()
+    assert str(poly) == str(ref)
+    assert poly.to_json_terms() == ref.to_json_terms()
+    # keys computed by arithmetic equal the keys the constructor packs
+    rebuilt = MultiPoly(ref.terms)
+    assert poly == rebuilt and hash(poly) == hash(rebuilt)
+
+
+# Mostly zero, else small, else near the top of a 64-bit field, where sums
+# of two exponents fit or overflow.
+EXPONENTS = st.one_of(st.just(0), st.integers(1, 3), st.integers(2**63 - 2, 2**63 + 1),
+                      st.just(FIELD_MAX))
+
+
+@st.composite
+def poly_pairs(draw):
+    """A (MultiPoly, RefPoly) pair with the same up to four terms."""
+    terms = draw(st.dictionaries(st.tuples(*[EXPONENTS] * len(VARS)),
+                                 st.integers(-4, 4), max_size=4))
+    return MultiPoly(terms), RefPoly(terms)
 
 
 INFINITE_PAIRS = [pair for pair in all_pairs() if pair != FINITE_PAIR]
@@ -118,6 +247,91 @@ class TestArithmetic:
             MultiPoly({(0,) * 9: 1.5})
         with pytest.raises(ValueError):
             MultiPoly.var("w")
+
+    def test_rejects_bool_exponents(self):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly({(True,) + (0,) * 8: 1})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly({(0,) * 8 + (False,): 1})
+
+    def test_pow_squares_only_while_bits_remain(self, monkeypatch):
+        base = 1 - P**2 * X**2 * Y
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counting_mul(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        cube = base**3
+        monkeypatch.undo()
+        assert cube == base * base * base
+        # one squaring, then base and base^2 multiplied into the result
+        assert len(products) == 3
+        assert sum(a is b for a, b in products) == 1
+
+
+class TestExponentRange:
+    """Every exponent lies in 0..2^64 - 1: one 64-bit field of the key."""
+
+    def test_largest_exponent_builds_and_the_next_raises(self):
+        top = MultiPoly({(0, 0, 0, 0, 0, 0, 0, 0, FIELD_MAX): 1})
+        assert top.degree_in("z") == FIELD_MAX and top.terms()[0][0][-1] == FIELD_MAX
+        assert Q ** FIELD_MAX == MultiPoly({(0, 0, FIELD_MAX, 0, 0, 0, 0, 0, 0): 1})
+        with pytest.raises(ExponentOverflowError, match="64-bit"):
+            MultiPoly({(0, 0, 0, 0, 0, 0, 0, 0, FIELD_MAX + 1): 1})
+        with pytest.raises(ExponentOverflowError):
+            MultiPoly.from_json_terms([{"exponents": {"x": FIELD_MAX + 1}, "coeff": "1"}])
+
+    def test_products_that_would_carry_raise(self):
+        half = 2**63
+        assert Q**half * Q**(half - 1) == Q**FIELD_MAX
+        with pytest.raises(ExponentOverflowError, match="q"):
+            Q**half * Q**half
+        with pytest.raises(ExponentOverflowError, match="x"):
+            (1 + X**FIELD_MAX) * (P + X)
+        with pytest.raises(ExponentOverflowError):
+            Q**(2**64)
+
+    def test_merging_rename_that_would_carry_raises(self):
+        half = 2**63
+        assert (P**half * Q**(half - 1)).rename({"p": "q"}) == Q**FIELD_MAX
+        # two terms whose merged exponents fit, then one term whose do not
+        assert (P**FIELD_MAX + Q**FIELD_MAX).rename({"p": "q"}) == 2 * Q**FIELD_MAX
+        with pytest.raises(ExponentOverflowError, match="q"):
+            (P**half * Q**half).rename({"p": "q"})
+        # a swap moves both fields and never merges
+        swapped = (P**FIELD_MAX * Q**FIELD_MAX).rename({"p": "q", "q": "p"})
+        assert swapped == P**FIELD_MAX * Q**FIELD_MAX
+
+
+class TestAgainstTupleReference:
+    """Every operation on packed keys against the tuple-keyed RefPoly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly_pairs(), poly_pairs(), st.integers(0, 3),
+           st.lists(st.sampled_from(VARS), unique=True), st.permutations(VARS),
+           st.sampled_from(VARS),
+           st.fixed_dictionaries({name: st.integers(-1, 1) for name in VARS}))
+    def test_operations_match(self, a_pair, b_pair, n, sources, targets, name, point):
+        (a, ref_a), (b, ref_b) = a_pair, b_pair
+        assert_matches(a, ref_a)
+        assert_matches(outcome(lambda: a + b), outcome(lambda: ref_a + ref_b))
+        assert_matches(outcome(lambda: a - b), outcome(lambda: ref_a - ref_b))
+        assert_matches(outcome(lambda: a * b), outcome(lambda: ref_a * ref_b))
+        assert_matches(outcome(lambda: a**n), outcome(lambda: ref_a**n))
+        mapping = dict(zip(sources, targets))
+        assert_matches(outcome(lambda: a.rename(mapping)),
+                       outcome(lambda: ref_a.rename(mapping)))
+        assert_matches(a.substitute_one(name), ref_a.substitute_one(name))
+        assert {d: part.terms() for d, part in a.x_slices().items()} == {
+            d: RefPoly(part).sorted_terms() for d, part in ref_a.x_slices().items()}
+        assert a.evaluate(point) == ref_a.evaluate(point)
+        assert (a == b) == (ref_a.terms == ref_b.terms)
+        assert a.constant_term() == ref_a.terms.get((0,) * len(VARS), 0)
+        for i, var in enumerate(VARS):
+            assert a.degree_in(var) == max((e[i] for e in ref_a.terms), default=-1)
 
 
 class TestSubstituteAndRename:
