@@ -4,94 +4,93 @@ The library enumerates the fifteen avoidance classes, computes eight
 classical statistics, expands the classes' rational generating functions
 into exact joint-distribution polynomials, and checks every closed form and
 statistic-exchanging map against brute force.
+
+Every public name resolves on first use (PEP 562), so ``import avoidpair``
+and each ``avoidpair`` command load only the submodules that they run.
 """
 
-from .bijections import (
-    LAYERED_PAIR,
-    RUN_PAIR,
-    NotInClassError,
-    complement_map,
-    compositions,
-    layered_compose,
-    layered_decompose,
-    runs_compose,
-    runs_decompose,
-    transfer_map,
-)
-from .catalog import (
-    CatalogEntry,
-    FiniteClassError,
-    canonical_gf,
-    class_count,
-    gf_for,
-    single_stat_gf,
-)
-from .perms import (
-    Pair,
-    Perm,
-    avoids_pair,
-    complement,
-    contains,
-    direct_sum,
-    enumerate_class,
-    inverse,
-    make_permutation,
-    pattern_pair,
-    reverse,
-    skew_sum,
-)
-from .polys import MultiPoly, RationalGF, SeriesTable, expand
-from .stats import StatVector, asc, des, lrmax, lrmin, mna, mnd, rlmax, rlmin, stat_vector
-from .verify import VerifyReport, brute_distribution, check_counts, check_gf, run_default_suite
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LAYERED_PAIR",
-    "RUN_PAIR",
-    "CatalogEntry",
-    "FiniteClassError",
-    "MultiPoly",
-    "NotInClassError",
-    "Pair",
-    "Perm",
-    "RationalGF",
-    "SeriesTable",
-    "StatVector",
-    "VerifyReport",
-    "asc",
-    "avoids_pair",
-    "brute_distribution",
-    "canonical_gf",
-    "check_counts",
-    "check_gf",
-    "class_count",
-    "complement",
-    "complement_map",
-    "compositions",
-    "contains",
-    "des",
-    "direct_sum",
-    "enumerate_class",
-    "expand",
-    "gf_for",
-    "inverse",
-    "layered_compose",
-    "layered_decompose",
-    "lrmax",
-    "lrmin",
-    "make_permutation",
-    "mna",
-    "mnd",
-    "pattern_pair",
-    "reverse",
-    "rlmax",
-    "rlmin",
-    "run_default_suite",
-    "runs_compose",
-    "runs_decompose",
-    "single_stat_gf",
-    "skew_sum",
-    "stat_vector",
-    "transfer_map",
-]
+# The scopes of ``avoidpair verify``, declared here so that building the
+# CLI's parser does not import :mod:`avoidpair.verify`.
+SCOPES = ("all", "counts", "gf", "maps")
+
+# Each public name, with the submodule that defines it.
+_EXPORTS = {
+    "LAYERED_PAIR": "bijections",
+    "RUN_PAIR": "bijections",
+    "CatalogEntry": "catalog",
+    "FiniteClassError": "perms",
+    "MultiPoly": "polys",
+    "NotInClassError": "bijections",
+    "Pair": "perms",
+    "Perm": "perms",
+    "RationalGF": "polys",
+    "SeriesTable": "polys",
+    "StatVector": "stats",
+    "VerifyReport": "verify",
+    "asc": "stats",
+    "avoids_pair": "perms",
+    "brute_distribution": "verify",
+    "canonical_gf": "catalog",
+    "check_counts": "verify",
+    "check_gf": "verify",
+    "class_count": "perms",
+    "complement": "perms",
+    "complement_map": "bijections",
+    "compositions": "bijections",
+    "contains": "perms",
+    "des": "stats",
+    "direct_sum": "perms",
+    "enumerate_class": "perms",
+    "expand": "polys",
+    "gf_for": "catalog",
+    "inverse": "perms",
+    "layered_compose": "bijections",
+    "layered_decompose": "bijections",
+    "lrmax": "stats",
+    "lrmin": "stats",
+    "make_permutation": "perms",
+    "mna": "stats",
+    "mnd": "stats",
+    "pattern_pair": "perms",
+    "reverse": "perms",
+    "rlmax": "stats",
+    "rlmin": "stats",
+    "run_default_suite": "verify",
+    "runs_compose": "bijections",
+    "runs_decompose": "bijections",
+    "single_stat_gf": "catalog",
+    "skew_sum": "perms",
+    "stat_vector": "stats",
+    "transfer_map": "bijections",
+}
+
+_SUBMODULES = ("bijections", "catalog", "cli", "perms", "polys", "stats", "verify")
+
+__all__ = list(_EXPORTS)
+
+
+def _submodule(name: str):
+    # The import statement's machinery, unlike importlib.import_module, is
+    # what ``python -X importtime`` reports on.
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(_submodule(_EXPORTS[name]), name)
+    elif name in _SUBMODULES:
+        value = _submodule(name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

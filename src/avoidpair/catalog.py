@@ -22,24 +22,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+# FiniteClassError, class_count, FAMILY_MARKERS and FAMILIES are declared in
+# the modules the CLI loads for every command, and re-exported here.
 from .perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
+    FiniteClassError,
     Pair,
+    class_count,
     format_pair,
     pattern_pair,
     reduce_to_canonical,
 )
 from .polys import MultiPoly, RationalGF
-from .stats import STAT_SWAPS, StatVector
-
-# Each family's marked statistics, with the ring variable that marks each.
-FAMILY_MARKERS = {
-    "F": {"asc": "p", "des": "q", "lrmax": "u", "rlmax": "v", "lrmin": "s", "rlmin": "t"},
-    "G": {"asc": "p", "des": "q", "mna": "y", "mnd": "z"},
-}
-
-FAMILIES = tuple(FAMILY_MARKERS)
+from .stats import FAMILIES, FAMILY_MARKERS, STAT_SWAPS, StatVector
 
 STAT_NAMES = StatVector._fields
 
@@ -63,14 +59,6 @@ def _recipe(markers: dict[str, str], swaps) -> dict[str, str]:
 # the op's image of the canonical pair.
 RECIPES = {family: {op: _recipe(markers, swaps) for op, swaps in STAT_SWAPS.items()}
            for family, markers in FAMILY_MARKERS.items()}
-
-
-class FiniteClassError(ValueError):
-    """Raised when a generating function is requested for {123, 321}.
-
-    That class is empty from n = 5 on and has no rational form; use
-    :func:`class_count` instead.
-    """
 
 
 @dataclass(frozen=True)
@@ -370,28 +358,6 @@ def gf_for(pair: Pair, family: str) -> RationalGF:
     recipes = RECIPES[_check_family(family)]
     canonical, op = reduce_to_canonical(pattern_pair(*pair))
     return canonical_gf(canonical, family).rename(recipes[op])
-
-
-def class_count(pair: Pair, n: int) -> int:
-    """Closed-form size of the avoidance class at length n.
-
-    >>> class_count(pattern_pair((1, 2, 3), (1, 3, 2)), 10)
-    512
-    >>> class_count(pattern_pair((1, 3, 2), (3, 2, 1)), 5)
-    11
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1
-    canonical, _ = reduce_to_canonical(pattern_pair(*pair))
-    if canonical == FINITE_PAIR:
-        if n >= 5:
-            return 0
-        return {1: 1, 2: 2, 3: 4, 4: 4}[n]
-    if canonical == _PAIR_132_321:
-        return 1 + math.comb(n, 2)
-    return 2 ** (n - 1)
 
 
 def _entry_json(entry: CatalogEntry) -> dict:

@@ -9,18 +9,23 @@ cannot be packed).  All output is deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 
-from . import catalog, verify
+# Only what building the parser and the cheap commands need is imported
+# here; each handler imports the rest of what it runs, so a command's cold
+# start loads no module that the command does not use.
+from . import SCOPES
 from .bijections import NotInClassError, complement_map, transfer_map
-from .catalog import FiniteClassError
-from .perms import enumerate_class, format_perm, parse_pair, parse_perm
-from .polys import ExponentOverflowError, MultiPoly, coefficient
-from .stats import stat_vector
+from .perms import (
+    FiniteClassError,
+    class_count,
+    enumerate_class,
+    format_perm,
+    parse_pair,
+    parse_perm,
+)
+from .stats import FAMILIES, stat_vector
 
 FORMATS = ("json", "csv", "plain")
 
@@ -72,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="joint distribution polynomial at one length")
     p.add_argument("--pair", type=_usage(parse_pair), required=True, metavar="A,B")
-    p.add_argument("--family", choices=catalog.FAMILIES, required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="sum over the enumerated class instead of expanding the closed "
@@ -85,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", type=_usage(parse_perm), required=True, metavar='"a b c"')
 
     p = sub.add_parser("verify", help="run the brute-force verification suite")
-    p.add_argument("scope", nargs="?", choices=verify.SCOPES, default="all")
+    p.add_argument("scope", nargs="?", choices=SCOPES, default="all")
     p.add_argument("--n-max", type=_nonnegative, default=None)
 
     p = sub.add_parser("catalog-dump", help="emit every stored formula for audit")
@@ -95,6 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_rows(rows, header) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -113,18 +121,20 @@ def _cmd_count(args) -> int:
     if args.n > 3 * digits:
         limit = 10 ** digits
         bits = limit.bit_length()
-        if ((args.n - 1 >= bits and catalog.class_count(args.pair, bits + 1) >= limit)
-                or catalog.class_count(args.pair, args.n) >= limit):
+        if ((args.n - 1 >= bits and class_count(args.pair, bits + 1) >= limit)
+                or class_count(args.pair, args.n) >= limit):
             print(f"error: the count at n = {args.n} has more than {digits} digits",
                   file=sys.stderr)
             return 2
-    print(catalog.class_count(args.pair, args.n))
+    print(class_count(args.pair, args.n))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     members = enumerate_class(args.pair, args.n)
     if args.format == "json":
+        import json
+
         print(json.dumps([list(perm) for perm in members]))
     elif args.format == "csv":
         print(_csv_rows(([format_perm(perm)] for perm in members), ["perm"]))
@@ -137,6 +147,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_stats(args) -> int:
     values = stat_vector(args.perm).to_json_obj()
     if args.format == "json":
+        import json
+
         print(json.dumps(values))
     elif args.format == "csv":
         print(_csv_rows(values.items(), ["stat", "value"]))
@@ -148,8 +160,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.oracle:
+        from . import verify
+
         poly = verify.brute_distribution(args.pair, args.n, args.family)
     else:
+        from . import catalog
+        from .polys import ExponentOverflowError, coefficient
+
         gf = catalog.gf_for(args.pair, args.family)
         try:
             # coefficient sizes its packed fields first and raises before any
@@ -159,6 +176,8 @@ def _cmd_table(args) -> int:
             print(f"error: table --n {args.n} is too large: {exc}", file=sys.stderr)
             return 2
     if args.format == "json":
+        import json
+
         print(json.dumps(poly.to_json_terms()))
     elif args.format == "csv":
         rows = []
@@ -180,6 +199,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     reports = verify.suite(args.scope, args.n_max)
     for report in reports:
         print(report.to_json_line())
@@ -187,8 +208,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog_dump(args) -> int:
+    from . import catalog
+    from .polys import MultiPoly
+
     data = catalog.dump()
     if args.format == "json":
+        import json
+
         print(json.dumps(data, indent=2, sort_keys=True))
     elif args.format == "csv":
         rows = []

@@ -10,6 +10,7 @@ everywhere and belongs to every avoidance class.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
@@ -304,6 +305,14 @@ CANONICAL_PAIRS: tuple[Pair, ...] = (
 FINITE_PAIR: Pair = pattern_pair((1, 2, 3), (3, 2, 1))
 
 
+class FiniteClassError(ValueError):
+    """Raised when a generating function is requested for {123, 321}.
+
+    That class is empty from n = 5 on and has no rational form; use
+    :func:`class_count` instead.
+    """
+
+
 def all_pairs() -> tuple[Pair, ...]:
     """All 15 unordered pairs of distinct length-3 patterns."""
     patterns = [make_permutation(p) for p in itertools.permutations((1, 2, 3))]
@@ -454,6 +463,28 @@ def class_size(pair: Pair, n: int) -> int:
         raise ValueError("n must be non-negative")
     canonical, _ = reduce_to_canonical(pattern_pair(*pair))
     return len(_CANONICAL_GENERATORS[canonical](n))
+
+
+def class_count(pair: Pair, n: int) -> int:
+    """Closed-form size of the avoidance class at length n.
+
+    >>> class_count(pattern_pair((1, 2, 3), (1, 3, 2)), 10)
+    512
+    >>> class_count(pattern_pair((1, 3, 2), (3, 2, 1)), 5)
+    11
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return 1
+    canonical, _ = reduce_to_canonical(pattern_pair(*pair))
+    if canonical == FINITE_PAIR:
+        if n >= 5:
+            return 0
+        return {1: 1, 2: 2, 3: 4, 4: 4}[n]
+    if canonical == CANONICAL_PAIRS[1]:  # 132,321
+        return 1 + math.comb(n, 2)
+    return 2 ** (n - 1)
 
 
 def enumerate_class(pair: Pair, n: int) -> list[Perm]:

@@ -356,6 +356,11 @@ class MultiPoly:
         return cls(terms)
 
 
+def _check_factor_constants(factors: Iterable[MultiPoly]) -> None:
+    if any(factor.constant_term() != 1 for factor in factors):
+        raise ValueError("denominator factor constant terms must be 1")
+
+
 @dataclass(frozen=True)
 class RationalGF:
     """Numerator/denominator pair; the denominator's constant term must be 1.
@@ -382,23 +387,26 @@ class RationalGF:
         if not self.den_factors:
             object.__setattr__(self, "den_factors", (self.den,))
             return
-        if any(factor.constant_term() != 1 for factor in self.den_factors):
-            raise ValueError("denominator factor constant terms must be 1")
+        _check_factor_constants(self.den_factors)
         first, *rest = self.den_factors
         if math.prod(rest, start=first) != self.den:
             raise ValueError("denominator factors do not multiply to the denominator")
 
+    def _image(self, image) -> "RationalGF":
+        # image is a ring homomorphism, so the factors' images multiply to
+        # the image of den: that product is not formed again to check it.
+        gf = RationalGF(image(self.num), image(self.den))
+        if len(self.den_factors) > 1:
+            factors = tuple(map(image, self.den_factors))
+            _check_factor_constants(factors)
+            object.__setattr__(gf, "den_factors", factors)
+        return gf
+
     def rename(self, mapping: Mapping[str, str]) -> "RationalGF":
-        return RationalGF(self.num.rename(mapping), self.den.rename(mapping),
-                          tuple(factor.rename(mapping) for factor in self.den_factors))
+        return self._image(lambda poly: poly.rename(mapping))
 
     def substitute_one(self, *names: str) -> "RationalGF":
-        num, den, factors = self.num, self.den, self.den_factors
-        for name in names:
-            num = num.substitute_one(name)
-            den = den.substitute_one(name)
-            factors = tuple(factor.substitute_one(name) for factor in factors)
-        return RationalGF(num, den, factors)
+        return self._image(lambda poly: reduce(MultiPoly.substitute_one, names, poly))
 
 
 @dataclass(frozen=True)

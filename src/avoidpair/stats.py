@@ -122,6 +122,14 @@ COMPLEMENT_SWAPS = (("asc", "des"), ("lrmax", "lrmin"), ("rlmax", "rlmin"), ("mn
 STAT_SWAPS = {"identity": (), "r": REVERSE_SWAPS, "c": COMPLEMENT_SWAPS,
               "rc": REVERSE_SWAPS + COMPLEMENT_SWAPS}
 
+# Each family's marked statistics, with the ring variable that marks each.
+FAMILY_MARKERS = {
+    "F": {"asc": "p", "des": "q", "lrmax": "u", "rlmax": "v", "lrmin": "s", "rlmin": "t"},
+    "G": {"asc": "p", "des": "q", "mna": "y", "mnd": "z"},
+}
+
+FAMILIES = tuple(FAMILY_MARKERS)
+
 
 def stat_vector(perm: Perm) -> StatVector:
     """All eight statistics in one forward and one backward scan.

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
 
-from . import catalog, stats
+from . import SCOPES, catalog, stats
 from .bijections import LAYERED_PAIR, RUN_PAIR, complement_map, transfer_map
 from .perms import (
     FINITE_PAIR,
     Pair,
     all_pairs,
+    class_count,
     class_size,
     complement,
     enumerate_class,
@@ -43,8 +44,6 @@ DEFAULT_N_COUNTS = 12
 DEFAULT_N_G = 10
 DEFAULT_N_F = 9
 DEFAULT_N_MAPS = 12
-
-SCOPES = ("all", "counts", "gf", "maps")
 
 
 def _joint_counts(pair: Pair, n: int, joint: dict | None) -> Counter:
@@ -75,7 +74,7 @@ def brute_distribution(pair: Pair, n: int, family: str, *,
     >>> print(brute_distribution(pattern_pair((2, 3, 1), (3, 1, 2)), 3, "G"))
     p^2 y + 2 p q y z + q^2 z
     """
-    markers = catalog.FAMILY_MARKERS.get(family)
+    markers = stats.FAMILY_MARKERS.get(family)
     if markers is None:
         raise ValueError(f"unknown family {family!r}")
     marked = attrgetter(*markers)
@@ -156,7 +155,7 @@ def check_counts(n_max: int = DEFAULT_N_COUNTS) -> VerifyReport:
     for pair in all_pairs():
         for n in range(n_max + 1):
             actual = class_size(pair, n)
-            expected = catalog.class_count(pair, n)
+            expected = class_count(pair, n)
             if actual != expected:
                 discrepancy = {
                     "n": n,

@@ -402,3 +402,42 @@ class TestExitCodesEndToEnd:
         first = run_process("table", "--pair", "132,213", "--family", "F", "--n", "4")
         second = run_process("table", "--pair", "132,213", "--family", "F", "--n", "4")
         assert first.stdout == second.stdout and first.returncode == 0
+
+
+# Runs one command through cli.main in a fresh interpreter and prints, after
+# its own output, the modules that importing cli and running it loaded.
+_LOADED_BY = """
+import sys
+before = set(sys.modules)
+from avoidpair import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+class TestColdStartImports:
+    """Each command loads only the modules it runs."""
+
+    def loaded_by(self, *argv):
+        result = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv],
+                                capture_output=True, text=True)
+        assert result.stderr == ""
+        *output, loaded = result.stdout.splitlines()
+        code, *modules = loaded.split()
+        return int(code), output, set(modules)
+
+    def test_count_loads_no_closed_form_verify_or_format_module(self):
+        code, output, loaded = self.loaded_by("count", "--pair", "123,132", "--n", "10")
+        assert (code, output) == (0, ["512"])
+        assert not loaded & {"avoidpair.polys", "avoidpair.catalog", "avoidpair.verify",
+                             "dataclasses", "json", "csv"}
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--perm", "3 4 1 5 2"),
+        ("map", "--which", "g", "--perm", "1 3 2"),
+        ("enumerate", "--pair", "231,312", "--n", "3"),
+    ])
+    def test_brute_force_commands_load_no_closed_form_or_verify_module(self, argv):
+        code, output, loaded = self.loaded_by(*argv)
+        assert code == 0 and output
+        assert not loaded & {"avoidpair.polys", "avoidpair.catalog", "avoidpair.verify"}

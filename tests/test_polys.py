@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidpair.catalog import FAMILIES, gf_for
+from avoidpair.catalog import FAMILIES, FAMILY_MARKERS, gf_for
 from avoidpair.perms import FINITE_PAIR, all_pairs, format_pair, parse_pair
 from avoidpair.polys import (
     VARS,
@@ -564,17 +564,31 @@ class TestStagedKernel:
             coefficient(gf, 3)
 
     def test_rename_and_substitute_one_map_each_factor(self):
+        # The images are built without multiplying the factors out, so this
+        # is the check that their product is still the denominator.
         mapping = {"p": "q", "q": "p", "u": "t", "t": "u"}
         for pair in INFINITE_PAIRS:
             for family in FAMILIES:
                 gf = gf_for(pair, family)
-                for image, factors in [
+                images = [
+                    (gf, list(gf.den_factors)),
                     (gf.rename(mapping), [f.rename(mapping) for f in gf.den_factors]),
                     (gf.substitute_one("q", "s"),
                      [f.substitute_one("q").substitute_one("s") for f in gf.den_factors]),
-                ]:
+                ] + [
+                    (gf.substitute_one(var), [f.substitute_one(var) for f in gf.den_factors])
+                    for var in FAMILY_MARKERS[family].values()
+                ]
+                for image, factors in images:
                     assert list(image.den_factors) == factors
                     assert math.prod(factors, start=MultiPoly.one()) == image.den
+
+    def test_images_still_check_each_factor_constant_term(self):
+        # setting p to 1 leaves the product's constant term 1 but not the factors'
+        first, second = 1 - 2*P + X, 1 - 2*P - X
+        gf = RationalGF(MultiPoly.one(), first * second, (first, second))
+        with pytest.raises(ValueError, match="factor constant"):
+            gf.substitute_one("p")
 
     def test_factors_take_no_part_in_eq_hash_or_repr(self):
         num, den = 1 - Q * X, (1 - X) * (1 - Q * X)
