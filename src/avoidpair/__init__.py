@@ -33,7 +33,7 @@ _EXPORTS = {
     "VerifyReport": "verify",
     "asc": "stats",
     "avoids_pair": "perms",
-    "brute_distribution": "verify",
+    "brute_distribution": "oracle",
     "canonical_gf": "catalog",
     "check_counts": "verify",
     "check_gf": "verify",
@@ -68,7 +68,7 @@ _EXPORTS = {
     "transfer_map": "bijections",
 }
 
-_SUBMODULES = ("bijections", "catalog", "cli", "perms", "polys", "stats", "verify")
+_SUBMODULES = ("bijections", "catalog", "cli", "oracle", "perms", "polys", "stats", "verify")
 
 __all__ = list(_EXPORTS)
 

@@ -19,8 +19,9 @@ only has a counting formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._record import Record
 
 # FiniteClassError, class_count, FAMILY_MARKERS and FAMILIES are declared in
 # the modules the CLI loads for every command, and re-exported here.
@@ -61,8 +62,7 @@ RECIPES = {family: {op: _recipe(markers, swaps) for op, swaps in STAT_SWAPS.item
            for family, markers in FAMILY_MARKERS.items()}
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A stored formula plus its audit trail.
 
     ``gf`` is the working form whose expansion matches enumeration.  ``raw``
@@ -71,10 +71,11 @@ class CatalogEntry:
     set and ``note`` records the adjustment.
     """
 
-    gf: RationalGF
-    raw: RationalGF
-    oracle_corrected: bool = False
-    note: str = ""
+    _compared = ("gf", "raw", "oracle_corrected", "note")
+
+    def __init__(self, gf: RationalGF, raw: RationalGF, oracle_corrected: bool = False,
+                 note: str = ""):
+        self._set(gf=gf, raw=raw, oracle_corrected=oracle_corrected, note=note)
 
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")

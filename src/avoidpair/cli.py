@@ -9,6 +9,7 @@ cannot be packed).  All output is deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -99,6 +100,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs about 15 parses, and parsing leaves it as it
+    # was, so main builds it once per process.
+    return build_parser()
+
+
+def _print_json_list(items) -> None:
+    """``print(json.dumps(list(items)))``, one item at a time, so no more
+    than one item's text is held at once."""
+    import json
+
+    write = sys.stdout.write
+    write("[")
+    for i, item in enumerate(items):
+        if i:
+            write(", ")
+        write(json.dumps(item))
+    write("]\n")
+
+
 def _csv_rows(rows, header) -> str:
     import csv
     import io
@@ -133,9 +155,7 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     members = enumerate_class(args.pair, args.n)
     if args.format == "json":
-        import json
-
-        print(json.dumps([list(perm) for perm in members]))
+        _print_json_list(map(list, members))
     elif args.format == "csv":
         print(_csv_rows(([format_perm(perm)] for perm in members), ["perm"]))
     else:
@@ -160,9 +180,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.oracle:
-        from . import verify
+        from .oracle import brute_distribution
 
-        poly = verify.brute_distribution(args.pair, args.n, args.family)
+        poly = brute_distribution(args.pair, args.n, args.family)
     else:
         from . import catalog
         from .polys import ExponentOverflowError, coefficient
@@ -176,9 +196,9 @@ def _cmd_table(args) -> int:
             print(f"error: table --n {args.n} is too large: {exc}", file=sys.stderr)
             return 2
     if args.format == "json":
-        import json
+        from .polys import json_term
 
-        print(json.dumps(poly.to_json_terms()))
+        _print_json_list(json_term(exps, coeff) for exps, coeff in poly.terms())
     elif args.format == "csv":
         rows = []
         for exps, coeff in poly.terms():
@@ -255,7 +275,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()

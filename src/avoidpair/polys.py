@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
+
+from ._record import Record
 
 VARS = ("x", "p", "q", "u", "v", "s", "t", "y", "z")
 
@@ -336,13 +337,7 @@ class MultiPoly:
 
     def to_json_terms(self) -> list[dict]:
         """Wire format: list of {"exponents": {var: exp}, "coeff": "<int>"}."""
-        return [
-            {
-                "exponents": {VARS[i]: e for i, e in enumerate(exps) if e},
-                "coeff": str(coeff),
-            }
-            for exps, coeff in self.terms()
-        ]
+        return [json_term(exps, coeff) for exps, coeff in self.terms()]
 
     @classmethod
     def from_json_terms(cls, data: Iterable[Mapping]) -> "MultiPoly":
@@ -356,13 +351,21 @@ class MultiPoly:
         return cls(terms)
 
 
+def json_term(exps: tuple, coeff: int) -> dict:
+    """One term of the wire format: the non-zero exponents and the coefficient.
+
+    >>> json_term((3, 2, 0, 0, 0, 0, 0, 1, 0), -4)
+    {'exponents': {'x': 3, 'p': 2, 'y': 1}, 'coeff': '-4'}
+    """
+    return {"exponents": {VARS[i]: e for i, e in enumerate(exps) if e}, "coeff": str(coeff)}
+
+
 def _check_factor_constants(factors: Iterable[MultiPoly]) -> None:
     if any(factor.constant_term() != 1 for factor in factors):
         raise ValueError("denominator factor constant terms must be 1")
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Record):
     """Numerator/denominator pair; the denominator's constant term must be 1.
 
     ``den_factors`` optionally records the denominator as a product of
@@ -377,20 +380,18 @@ class RationalGF:
     True
     """
 
-    num: MultiPoly
-    den: MultiPoly
-    den_factors: tuple[MultiPoly, ...] = field(default=(), compare=False, repr=False)
+    _compared = ("num", "den")
 
-    def __post_init__(self):
-        if self.den.constant_term() != 1:
+    def __init__(self, num: MultiPoly, den: MultiPoly,
+                 den_factors: tuple[MultiPoly, ...] = ()):
+        if den.constant_term() != 1:
             raise ValueError("denominator constant term must be 1")
-        if not self.den_factors:
-            object.__setattr__(self, "den_factors", (self.den,))
-            return
-        _check_factor_constants(self.den_factors)
-        first, *rest = self.den_factors
-        if math.prod(rest, start=first) != self.den:
-            raise ValueError("denominator factors do not multiply to the denominator")
+        if den_factors:
+            _check_factor_constants(den_factors)
+            first, *rest = den_factors
+            if math.prod(rest, start=first) != den:
+                raise ValueError("denominator factors do not multiply to the denominator")
+        self._set(num=num, den=den, den_factors=den_factors or (den,))
 
     def _image(self, image) -> "RationalGF":
         # image is a ring homomorphism, so the factors' images multiply to
@@ -399,7 +400,7 @@ class RationalGF:
         if len(self.den_factors) > 1:
             factors = tuple(map(image, self.den_factors))
             _check_factor_constants(factors)
-            object.__setattr__(gf, "den_factors", factors)
+            gf._set(den_factors=factors)
         return gf
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalGF":
@@ -409,16 +410,15 @@ class RationalGF:
         return self._image(lambda poly: reduce(MultiPoly.substitute_one, names, poly))
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class SeriesTable(Record):
     """Exact x-power-series coefficients ``coeffs[k]`` for k = 0..n_max."""
 
-    n_max: int
-    coeffs: tuple[MultiPoly, ...]
+    _compared = ("n_max", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n_max + 1:
+    def __init__(self, n_max: int, coeffs: tuple[MultiPoly, ...]):
+        if len(coeffs) != n_max + 1:
             raise ValueError("need exactly n_max + 1 coefficients")
+        self._set(n_max=n_max, coeffs=coeffs)
 
     def to_json_obj(self) -> dict:
         return {

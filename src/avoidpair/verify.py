@@ -6,9 +6,10 @@ discrepancy if any.  Default ranges keep the whole suite at desk scale:
 counts to n = 12, family G to n = 10, family F to n = 9, maps to n = 12.
 
 Every check computes each class member's statistics once.  The oracle
-counts members by their eight-statistic vector and reads a family's
-marginal off those counts; within one :func:`suite` call, families G and F
-share one such table per (pair, n).  The counts check takes class sizes
+(:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts
+members by their eight-statistic vector and reads a family's marginal off
+those counts; within one :func:`suite` call, families G and F share one
+such table per (pair, n).  The counts check takes class sizes
 from :func:`~avoidpair.perms.class_size` without carrying members over.
 The map checks share one member-to-quadruple table per class and length,
 and the maps decode each member by rebuilding it from its run lengths
@@ -20,11 +21,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable
 
 from . import SCOPES, catalog, stats
+from ._record import Record
 from .bijections import LAYERED_PAIR, RUN_PAIR, complement_map, transfer_map
 from .perms import (
     FINITE_PAIR,
@@ -38,7 +38,10 @@ from .perms import (
     pattern_pair,
     reverse,
 )
-from .polys import _SHIFT, MultiPoly, expand
+# brute_distribution and _joint_counts live in oracle, which table --oracle
+# loads without this module, and are re-exported here.
+from .oracle import _joint_counts, brute_distribution  # noqa: F401
+from .polys import expand
 
 DEFAULT_N_COUNTS = 12
 DEFAULT_N_G = 10
@@ -46,58 +49,15 @@ DEFAULT_N_F = 9
 DEFAULT_N_MAPS = 12
 
 
-def _joint_counts(pair: Pair, n: int, joint: dict | None) -> Counter:
-    """Members of the class at length n counted by their eight-statistic vector.
-
-    ``joint``, when given, is a ``{(pair, n): Counter}`` dict: a table found
-    there is reused, and one computed here is stored there.
-    """
-    counts = None if joint is None else joint.get((pair, n))
-    if counts is None:
-        counts = Counter(map(stats.stat_vector, enumerate_class(pair, n)))
-        if joint is not None:
-            joint[pair, n] = counts
-    return counts
-
-
-def brute_distribution(pair: Pair, n: int, family: str, *,
-                       joint: dict | None = None) -> MultiPoly:
-    """Joint distribution polynomial summed over the enumerated class.
-
-    Members are counted by all eight statistics, one statistics pass each,
-    and the family's marginal is read off the distinct vectors; each
-    distinct marginal vector is packed straight into a term key of the
-    polynomial.  Passing the same ``joint`` dict for both families (see
-    :func:`_joint_counts`) enumerates and scores each class once for the
-    two.
-
-    >>> print(brute_distribution(pattern_pair((2, 3, 1), (3, 1, 2)), 3, "G"))
-    p^2 y + 2 p q y z + q^2 z
-    """
-    markers = stats.FAMILY_MARKERS.get(family)
-    if markers is None:
-        raise ValueError(f"unknown family {family!r}")
-    marked = attrgetter(*markers)
-    shifts = [_SHIFT[var] for var in markers.values()]
-    counts = Counter()
-    for vec, count in _joint_counts(pair, n, joint).items():
-        counts[marked(vec)] += count
-    terms = {}
-    for values, count in counts.items():
-        terms[sum(e << shift for e, shift in zip(values, shifts))] = count
-    return MultiPoly._raw(terms)
-
-
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Outcome of one check; ``first_discrepancy`` is present iff it failed."""
 
-    name: str
-    pair: str | None
-    family: str | None
-    n_range: tuple[int, int]
-    status: str
-    first_discrepancy: dict | None = None
+    _compared = ("name", "pair", "family", "n_range", "status", "first_discrepancy")
+
+    def __init__(self, name: str, pair: str | None, family: str | None,
+                 n_range: tuple[int, int], status: str, first_discrepancy: dict | None = None):
+        self._set(name=name, pair=pair, family=family, n_range=n_range, status=status,
+                  first_discrepancy=first_discrepancy)
 
     @property
     def passed(self) -> bool:

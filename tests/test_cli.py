@@ -4,14 +4,23 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from avoidpair import catalog
+from avoidpair import catalog, cli
 from avoidpair.cli import main
-from avoidpair.perms import CANONICAL_PAIRS, FINITE_PAIR, all_pairs, format_pair, parse_pair
-from avoidpair.polys import MultiPoly, expand
+from avoidpair.oracle import brute_distribution
+from avoidpair.perms import (
+    CANONICAL_PAIRS,
+    FINITE_PAIR,
+    all_pairs,
+    enumerate_class,
+    format_pair,
+    parse_pair,
+)
+from avoidpair.polys import MultiPoly, coefficient, expand
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +337,99 @@ class TestCatalogDump:
         assert (code, out.encode(), err) == (0, expected, "")
 
 
+class TestSharedParser:
+    """main builds its parser once per process; reusing it changes no byte."""
+
+    # usage errors and help first, so the valid requests after them run on a
+    # parser that has already exited through argparse
+    ARGVS = [
+        ("stats", "--perm", "1 x"),
+        ("count", "--help"),
+        ("verify", "bogus"),
+        ("count", "--pair", "123,132", "--n", "10"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "4", "--format", "json"),
+        ("map", "--which", "f", "--perm", "1 3 2"),
+    ]
+
+    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width help is wrapped to
+        for argv in self.ARGVS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = run_process(*argv)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        assert run_cli(capsys, "count", "--pair", "123,132", "--n", "3") == (0, "4\n", "")
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert run_cli(capsys, "count", "--pair", "123,132", "--n", "4") == (0, "8\n", "")
+
+
+class TestJsonItemByItem:
+    """The JSON lists are written one item at a time, with the bytes of one
+    json.dumps of the whole list."""
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_enumerate(self, capsys, n):
+        members = enumerate_class(parse_pair("132,213"), n)
+        expected = json.dumps([list(perm) for perm in members]) + "\n"
+        assert run_cli(capsys, "enumerate", "--pair", "132,213", "--n", str(n),
+                       "--format", "json") == (0, expected, "")
+        if n == 0:
+            assert expected == "[[]]\n"
+
+    @pytest.mark.parametrize("family", ["F", "G"])
+    def test_empty_oracle_table(self, capsys, family):
+        for n in (5, 6):
+            poly = brute_distribution(parse_pair("123,321"), n, family)
+            expected = json.dumps(poly.to_json_terms()) + "\n"
+            assert expected == "[]\n"
+            assert run_cli(capsys, "table", "--pair", "123,321", "--family", family,
+                           "--n", str(n), "--oracle", "--format", "json") == (0, expected, "")
+
+    def test_largest_benchmark_table(self, capsys):
+        gf = catalog.gf_for(parse_pair("132,213"), "F")
+        expected = json.dumps(coefficient(gf, 20).to_json_terms()) + "\n"
+        assert run_cli(capsys, "table", "--pair", "132,213", "--family", "F", "--n", "20",
+                       "--format", "json") == (0, expected, "")
+
+
+class _Length:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_table_memory_stays_within_a_few_times_its_output(monkeypatch):
+    # Writing the whole document with one json.dumps peaked at about 24 times
+    # the output; one item at a time it is below 4 times.
+    argv = ["table", "--pair", "132,213", "--family", "F", "--n", "20", "--format", "json"]
+    monkeypatch.setattr(sys, "stdout", _Length())
+    assert main(argv) == 0  # the parser, the catalogue and json are built here
+    sink = _Length()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.length == 94_733
+    assert peak < 8 * sink.length
+
+
 class TestExitCodesEndToEnd:
     """Real subprocess runs: 0 success, 1 data failure, 2 usage error."""
 
@@ -441,3 +543,17 @@ class TestColdStartImports:
         code, output, loaded = self.loaded_by(*argv)
         assert code == 0 and output
         assert not loaded & {"avoidpair.polys", "avoidpair.catalog", "avoidpair.verify"}
+
+    def test_closed_form_table_loads_no_dataclasses_or_verify_module(self):
+        code, output, loaded = self.loaded_by(
+            "table", "--pair", "231,312", "--family", "G", "--n", "3")
+        assert (code, output) == (0, ["p^2 y + 2 p q y z + q^2 z"])
+        assert "avoidpair.catalog" in loaded
+        assert not loaded & {"dataclasses", "inspect", "avoidpair.verify"}
+
+    def test_oracle_table_loads_no_verify_or_catalog_module(self):
+        code, output, loaded = self.loaded_by(
+            "table", "--pair", "231,312", "--family", "G", "--n", "3", "--oracle")
+        assert (code, output) == (0, ["p^2 y + 2 p q y z + q^2 z"])
+        assert "avoidpair.oracle" in loaded
+        assert not loaded & {"avoidpair.verify", "avoidpair.catalog", "dataclasses", "inspect"}

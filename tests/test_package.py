@@ -8,7 +8,7 @@ from types import FunctionType
 import pytest
 
 import avoidpair
-from avoidpair import catalog, perms, stats, verify
+from avoidpair import catalog, oracle, perms, stats, verify
 
 PUBLIC_NAMES = [
     "LAYERED_PAIR", "RUN_PAIR", "CatalogEntry", "FiniteClassError", "MultiPoly",
@@ -52,6 +52,8 @@ def test_moved_names_are_re_exported_as_the_same_objects():
     assert avoidpair.FiniteClassError is perms.FiniteClassError is catalog.FiniteClassError
     assert stats.FAMILIES is catalog.FAMILIES and stats.FAMILY_MARKERS is catalog.FAMILY_MARKERS
     assert avoidpair.SCOPES is verify.SCOPES
+    assert avoidpair.brute_distribution is oracle.brute_distribution is verify.brute_distribution
+    assert oracle._joint_counts is verify._joint_counts
 
 
 def test_star_import_binds_every_public_name():
