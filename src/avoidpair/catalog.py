@@ -19,7 +19,7 @@ only has a counting formula.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from ._record import Record
 
@@ -351,14 +351,21 @@ def gf_for(pair: Pair, family: str) -> RationalGF:
     """Closed form for any of the fourteen pairs with an infinite class.
 
     The canonical form is carried over by the symmetry op's variable recipe.
+    Each of the 28 forms is built once and the same object returned after;
+    the finite pair raises on every call.
 
     >>> lhs = gf_for(pattern_pair((1, 2, 3), (2, 1, 3)), "G")
     >>> lhs == canonical_gf(pattern_pair((1, 2, 3), (1, 3, 2)), "G")
     True
     """
-    recipes = RECIPES[_check_family(family)]
-    canonical, op = reduce_to_canonical(pattern_pair(*pair))
-    return canonical_gf(canonical, family).rename(recipes[op])
+    family = _check_family(family)
+    return _gf_for(pattern_pair(*pair), family)
+
+
+@cache
+def _gf_for(pair: Pair, family: str) -> RationalGF:
+    canonical, op = reduce_to_canonical(pair)
+    return canonical_gf(canonical, family).rename(RECIPES[family][op])
 
 
 def _entry_json(entry: CatalogEntry) -> dict:

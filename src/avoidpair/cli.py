@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -107,17 +108,15 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _print_json_list(items) -> None:
-    """``print(json.dumps(list(items)))``, one item at a time, so no more
-    than one item's text is held at once."""
-    import json
-
+def _print_json_list(texts) -> None:
+    """Print the JSON list of the items rendered as ``texts``, one item at a
+    time, so no more than one item's text is held at once."""
     write = sys.stdout.write
     write("[")
-    for i, item in enumerate(items):
+    for i, text in enumerate(texts):
         if i:
             write(", ")
-        write(json.dumps(item))
+        write(text)
     write("]\n")
 
 
@@ -155,21 +154,19 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     members = enumerate_class(args.pair, args.n)
     if args.format == "json":
-        _print_json_list(map(list, members))
+        _print_json_list(f"[{', '.join(map(str, perm))}]" for perm in members)
     elif args.format == "csv":
         print(_csv_rows(([format_perm(perm)] for perm in members), ["perm"]))
     else:
-        for perm in members:
-            print(format_perm(perm))
+        sys.stdout.writelines(f"{format_perm(perm)}\n" for perm in members)
     return 0
 
 
 def _cmd_stats(args) -> int:
     values = stat_vector(args.perm).to_json_obj()
     if args.format == "json":
-        import json
-
-        print(json.dumps(values))
+        fields = ", ".join(f'"{name}": {value}' for name, value in values.items())
+        print(f"{{{fields}}}")
     elif args.format == "csv":
         print(_csv_rows(values.items(), ["stat", "value"]))
     else:
@@ -196,14 +193,13 @@ def _cmd_table(args) -> int:
             print(f"error: table --n {args.n} is too large: {exc}", file=sys.stderr)
             return 2
     if args.format == "json":
-        from .polys import json_term
+        from .polys import json_term_text
 
-        _print_json_list(json_term(exps, coeff) for exps, coeff in poly.terms())
+        _print_json_list(itertools.starmap(json_term_text, poly.terms()))
     elif args.format == "csv":
-        rows = []
-        for exps, coeff in poly.terms():
-            monomial = str(type(poly)({exps: 1}))
-            rows.append((args.n, monomial, coeff))
+        from .polys import _monomial
+
+        rows = [(args.n, _monomial(exps), coeff) for exps, coeff in poly.terms()]
         print(_csv_rows(rows, ["n", "monomial", "coefficient"]))
     else:
         print(poly)

@@ -28,6 +28,10 @@ def make_permutation(seq: Iterable[int]) -> Perm:
     """
     values = tuple(seq)
     n = len(values)
+    if {*map(type, values)} <= {int} and set(values) == set(range(1, n + 1)):
+        return values
+    # Otherwise check entry by entry, so the first bad entry is the one
+    # reported; an int subclass still passes here.
     seen = set()
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
@@ -244,7 +248,7 @@ def pattern_pair(first: Iterable[int], second: Iterable[int]) -> Pair:
 
 
 def format_perm(perm: Perm) -> str:
-    return " ".join(str(v) for v in perm)
+    return " ".join(map(str, perm))
 
 
 def parse_perm(text: str) -> Perm:

@@ -51,6 +51,8 @@ _to_layout = itemgetter(*(_INDEX[name] for name in _LAYOUT))
 _to_vars = itemgetter(*(_LAYOUT.index(name) for name in VARS))
 # (name, index in VARS) in the alphabetical order str writes variables in
 _RENDER_ORDER = sorted(_INDEX.items())
+# each variable's key in a JSON object, in VARS order
+_JSON_KEYS = tuple(f'"{name}": ' for name in VARS)
 
 
 class ExponentOverflowError(ValueError):
@@ -316,16 +318,10 @@ class MultiPoly:
             return "0"
         rendered = []
         for exps, coeff in self.terms():
-            factors = []
-            for name, i in _RENDER_ORDER:
-                e = exps[i]
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors or abs(coeff) != 1:
-                factors.insert(0, str(abs(coeff)))
-            rendered.append((coeff < 0, " ".join(factors)))
+            body = _monomial(exps)
+            if abs(coeff) != 1:
+                body = str(abs(coeff)) if body == "1" else f"{abs(coeff)} {body}"
+            rendered.append((coeff < 0, body))
         negative, body = rendered[0]
         out = ("-" if negative else "") + body
         for negative, body in rendered[1:]:
@@ -358,6 +354,32 @@ def json_term(exps: tuple, coeff: int) -> dict:
     {'exponents': {'x': 3, 'p': 2, 'y': 1}, 'coeff': '-4'}
     """
     return {"exponents": {VARS[i]: e for i, e in enumerate(exps) if e}, "coeff": str(coeff)}
+
+
+def json_term_text(exps: tuple, coeff: int) -> str:
+    """``json.dumps(json_term(exps, coeff))``, written without building the dict.
+
+    >>> print(json_term_text((3, 2, 0, 0, 0, 0, 0, 1, 0), -4))
+    {"exponents": {"x": 3, "p": 2, "y": 1}, "coeff": "-4"}
+    """
+    exponents = ", ".join([key + str(e) for key, e in zip(_JSON_KEYS, exps) if e])
+    return f'{{"exponents": {{{exponents}}}, "coeff": "{coeff}"}}'
+
+
+def _monomial(exps: tuple) -> str:
+    """The variables to their exponents, as ``str`` writes a term; "1" for none.
+
+    >>> _monomial((3, 2, 0, 0, 0, 0, 0, 1, 0))
+    'p^2 x^3 y'
+    """
+    factors = []
+    for name, i in _RENDER_ORDER:
+        e = exps[i]
+        if e == 1:
+            factors.append(name)
+        elif e:
+            factors.append(f"{name}^{e}")
+    return " ".join(factors) or "1"
 
 
 def _check_factor_constants(factors: Iterable[MultiPoly]) -> None:

@@ -22,7 +22,7 @@ from avoidpair.perms import (
     pattern_pair,
     reduce_to_canonical,
 )
-from avoidpair.polys import MultiPoly, RationalGF, expand
+from avoidpair.polys import MultiPoly, RationalGF, coefficient, expand
 from avoidpair.stats import stat_vector
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
@@ -274,6 +274,36 @@ class TestSymmetryMachinery:
                     assert table.coeffs[n] == filter_distribution(
                         image_pair, n, family
                     ), (canonical, op, family, n)
+
+
+class TestGfForMemo:
+    """gf_for builds each of its 28 forms once; callers share the object."""
+
+    @pytest.mark.parametrize("family", ["F", "G"])
+    def test_a_repeat_call_returns_the_same_object(self, family):
+        for pair in INFINITE_PAIRS:
+            gf = gf_for(pair, family)
+            assert gf_for(pair, family) is gf
+            # the key is the normalised pair: either order, lists or tuples
+            assert gf_for((list(pair[1]), list(pair[0])), family) is gf
+
+    @pytest.mark.parametrize("family", ["F", "G"])
+    def test_expanding_a_cached_form_leaves_it_unchanged(self, family):
+        for pair in INFINITE_PAIRS:
+            gf = gf_for(pair, family)
+            canonical, op = reduce_to_canonical(pair)
+            fresh = canonical_gf(canonical, family).rename(catalog.RECIPES[family][op])
+            expand(gf, 8)
+            coefficient(gf, 9)
+            assert gf == fresh and hash(gf) == hash(fresh)
+            assert (gf.num, gf.den) == (fresh.num, fresh.den)
+            assert gf.den_factors == fresh.den_factors
+            assert list(map(hash, gf.den_factors)) == list(map(hash, fresh.den_factors))
+
+    def test_the_finite_pair_raises_on_every_call(self):
+        for family in ("F", "G", "F", "G"):
+            with pytest.raises(FiniteClassError):
+                gf_for(FINITE_PAIR, family)
 
 
 class TestCounts:

@@ -208,6 +208,23 @@ class TestTable:
         expected = (Path(__file__).parent / "data" / "table_n10.txt").read_bytes()
         assert "".join(out).encode() == expected
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_format_bytes_at_ten_for_every_infinite_pair(self, capsys, fmt):
+        # the same cases in the same order as table_n10.txt, in JSON and CSV
+        out = []
+        for pair in all_pairs():
+            if pair == FINITE_PAIR:
+                continue
+            for family in ("F", "G"):
+                code, text, err = run_cli(
+                    capsys, "table", "--pair", format_pair(pair), "--family", family,
+                    "--n", "10", "--format", fmt,
+                )
+                assert code == 0 and err == ""
+                out.append(text)
+        expected = (Path(__file__).parent / "data" / f"table_n10_{fmt}.txt").read_bytes()
+        assert "".join(out).encode() == expected
+
     def test_too_large_n_is_a_usage_error(self, capsys):
         # the packed exponents of the expansion would need more than 64 bits
         n = str(10**19)
@@ -550,6 +567,17 @@ class TestColdStartImports:
         assert (code, output) == (0, ["p^2 y + 2 p q y z + q^2 z"])
         assert "avoidpair.catalog" in loaded
         assert not loaded & {"dataclasses", "inspect", "avoidpair.verify"}
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--pair", "231,312", "--family", "G", "--n", "3"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "3", "--oracle"),
+        ("enumerate", "--pair", "231,312", "--n", "3"),
+        ("stats", "--perm", "3 4 1 5 2"),
+    ])
+    def test_json_output_loads_no_json_module(self, argv):
+        code, output, loaded = self.loaded_by(*argv, "--format", "json")
+        assert code == 0 and output and output[0].startswith(("[", "{"))
+        assert "json" not in loaded
 
     def test_oracle_table_loads_no_verify_or_catalog_module(self):
         code, output, loaded = self.loaded_by(

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avoidpair.perms import (
@@ -36,6 +36,39 @@ perms_of = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 small_perms = st.integers(min_value=0, max_value=8).flatmap(perms_of)
 LENGTH3 = tuple(itertools.permutations((1, 2, 3)))
 
+# entries of the kinds make_permutation must reject or accept: small ints
+# (0 and n + 1 among them), bools, floats, strings and None
+entries = st.one_of(
+    st.integers(min_value=-1, max_value=9), st.booleans(),
+    st.floats(min_value=0, max_value=9), st.text(max_size=2), st.none(),
+)
+
+
+@st.composite
+def near_permutations(draw):
+    """A permutation with up to three entries replaced, often by a bad one."""
+    values = list(draw(small_perms))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if values:
+            values[draw(st.integers(min_value=0, max_value=len(values) - 1))] = draw(entries)
+    return values
+
+
+def reference_make_permutation(seq):
+    """make_permutation as it checked every entry before its fast path."""
+    values = tuple(seq)
+    n = len(values)
+    seen = set()
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"non-integer entry {v!r}")
+        if not 1 <= v <= n:
+            raise ValueError(f"value {v} out of range for length {n}")
+        if v in seen:
+            raise ValueError(f"duplicate value {v}")
+        seen.add(v)
+    return values
+
 
 class TestConstruction:
     def test_empty(self):
@@ -48,6 +81,34 @@ class TestConstruction:
     def test_rejects_non_rearrangements(self, bad):
         with pytest.raises(ValueError):
             make_permutation(bad)
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(entries, max_size=8), near_permutations()))
+    @example([0, 1])
+    @example([1, 3])
+    @example([2, 2, 4, "x"])
+    @example([1, True])
+    @example([1.0])
+    @example([5, None, 1])
+    @example([None, 5, 1])
+    def test_errors_match_the_entry_by_entry_check(self, values):
+        # A list that is not a permutation still raises the first bad entry's
+        # error, in the order the entries come.
+        try:
+            expected = ("ok", reference_make_permutation(values))
+        except ValueError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("ok", make_permutation(values))
+        except ValueError as exc:
+            got = ("error", str(exc))
+        assert got == expected
+
+    def test_int_subclasses_still_pass(self):
+        class Int(int):
+            pass
+
+        assert make_permutation([Int(2), Int(1)]) == (2, 1)
 
     def test_text_roundtrip(self):
         assert parse_perm("3 4 1 5 2") == (3, 4, 1, 5, 2)

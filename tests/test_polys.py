@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from operator import add
@@ -14,8 +15,11 @@ from avoidpair.polys import (
     MultiPoly,
     RationalGF,
     SeriesTable,
+    _monomial,
     coefficient,
     expand,
+    json_term,
+    json_term_text,
 )
 
 X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
@@ -388,6 +392,38 @@ class TestRendering:
         assert poly.to_json_terms() == [
             {"exponents": {"p": 1, "q": 1, "y": 1, "z": 1}, "coeff": "2"}
         ]
+
+    def test_json_term_text_is_json_dumps_of_json_term(self):
+        cases = []
+        for pair in all_pairs():
+            if pair == FINITE_PAIR:
+                continue
+            for family in FAMILIES:
+                gf = gf_for(pair, family)
+                for coeff in expand(gf, 12).coeffs:
+                    cases += coeff.terms()
+                cases += gf.num.terms() + gf.den.terms()
+        assert any(coeff < 0 for _, coeff in cases)
+        assert any(exps[0] for exps, _ in cases)  # terms with x, from num and den
+        constant = (0,) * len(VARS)
+        cases += [
+            (constant, 1),
+            (constant, -3),
+            ((2, 0, 1, 0, 0, 0, 0, 0, 4), 2**64 + 7),
+            ((0, 5, 0, 0, 0, 0, 0, 0, 0), -(2**70)),
+            ((FIELD_MAX, 0, 0, 0, 0, 0, 0, 0, FIELD_MAX), 1),
+            ((1,) * len(VARS), -1),
+        ]
+        for exps, coeff in cases:
+            assert json_term_text(exps, coeff) == json.dumps(json_term(exps, coeff))
+        assert json_term_text(constant, 1) == '{"exponents": {}, "coeff": "1"}'
+
+    def test_monomial_is_str_of_the_monomial(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            exps = tuple(rng.choice((0, 0, 1, 2, 11)) for _ in VARS)
+            assert _monomial(exps) == str(MultiPoly({exps: 1}))
+        assert _monomial((0,) * len(VARS)) == "1"
 
 
 class TestExpand:
