@@ -81,19 +81,18 @@ def _run_lengths(perm: Perm, pair: Pair, descending: bool) -> Composition:
     """Lengths of the maximal descending (or ascending) runs of a member of ``pair``.
 
     Both classes hold exactly one member per composition, and that member's
-    maximal runs are its parts.  So a tuple of ints is in the class exactly
-    when the member rebuilt from its run lengths is the tuple itself, which
-    costs two linear passes and no pattern search.  Anything else takes the
-    validating path, whose errors name the bad entry or the first
-    occurrence of a forbidden pattern.
+    maximal runs are its parts.  So a permutation is in the class exactly
+    when the member rebuilt from its run lengths is the permutation itself,
+    which costs two linear passes and no pattern search.  Only a rejection
+    searches, so that its error names the first occurrence of a forbidden
+    pattern; input that is not a permutation fails validation first.
     """
-    if type(perm) is tuple and {*map(type, perm)} <= {int}:
-        comp = _cut_runs(perm, descending)
-        if (_layered if descending else _runs)(comp) == perm:
-            return comp
-    perm = make_permutation(perm)
-    _require_class(perm, pair)
-    return _cut_runs(perm, descending)
+    if not (type(perm) is tuple and {*map(type, perm)} <= {int}):
+        perm = make_permutation(perm)
+    comp = _cut_runs(perm, descending)
+    if (_layered if descending else _runs)(comp) != perm:
+        _require_class(make_permutation(perm), pair)
+    return comp
 
 
 def _cut_runs(perm: Perm, descending: bool) -> Composition:

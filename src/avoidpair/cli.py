@@ -45,11 +45,16 @@ def _usage(parse):
 
 
 def _nonnegative(text: str) -> int:
+    # ASCII digits only, as in parse_perm: int() alone would also take a
+    # plus sign, underscores and non-ASCII digits.
+    digits = text.strip().removeprefix("-")
     try:
-        value = int(text)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        value = int(digits)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
+    if digits != text.strip():
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
 

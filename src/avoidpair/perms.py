@@ -121,45 +121,8 @@ def _scan_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
     return None
 
 
-def _has_132(perm: Perm) -> bool:
-    # Right to left with a decreasing stack: `middle` is the largest value
-    # seen so far that has a larger value to its left, i.e. the best "2"
-    # for a "3" already passed; any later (leftward) value below it is a "1".
-    middle = 0
-    stack: list[int] = []
-    for v in reversed(perm):
-        if v < middle:
-            return True
-        while stack and stack[-1] < v:
-            middle = stack.pop()
-        stack.append(v)
-    return False
-
-
-def _has_123(perm: Perm) -> bool:
-    # `low` is the smallest value so far; `tail` the smallest value so far
-    # with a smaller one before it.  A value above `tail` completes a 123.
-    low = tail = len(perm) + 1
-    for v in perm:
-        if v > tail:
-            return True
-        if v > low:
-            tail = v
-        else:
-            low = v
-    return False
-
-
-# O(n) containment deciders; 231, 312 and 213 are the images of 132 under
-# reverse, complement and reverse-complement, and 321 that of 123.
-_DECIDE_LENGTH3: dict[Perm, Callable[[Perm], bool]] = {
-    (1, 2, 3): _has_123,
-    (1, 3, 2): _has_132,
-    (2, 1, 3): lambda perm: _has_132(reverse_complement(perm)),
-    (2, 3, 1): lambda perm: _has_132(reverse(perm)),
-    (3, 1, 2): lambda perm: _has_132(complement(perm)),
-    (3, 2, 1): lambda perm: _has_123(complement(perm)),
-}
+# The six permutations of 1..3; every other pattern takes the subset scan.
+_LENGTH3 = frozenset(itertools.permutations((1, 2, 3)))
 
 
 def _first_occurrence3(perm: Perm, patt: Perm) -> tuple[int, int, int] | None:
@@ -193,25 +156,20 @@ def _first_occurrence3(perm: Perm, patt: Perm) -> tuple[int, int, int] | None:
 def find_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
     """1-based positions of the lexicographically first occurrence, or None.
 
-    A subsequence occurs as ``patt`` when it is order-isomorphic to it.  For
-    the six length-3 patterns, containment is decided in O(n) (a stack scan
-    for 132, a smallest-tail scan for 123, the other four by symmetry), and
-    only when an occurrence exists are its positions found, in O(n^2).
-    Other patterns fall back to the definitional scan over all position
-    subsets, ``_scan_occurrence``, which `avoids_pair` and so `filter_class`
-    use as the oracle; both paths return the same positions.
+    A subsequence occurs as ``patt`` when it is order-isomorphic to it.  The
+    six length-3 patterns are searched in O(n^2); other patterns fall back to
+    the definitional scan over all position subsets, ``_scan_occurrence``,
+    which `avoids_pair` and so `filter_class` use as the oracle.  Both paths
+    return the same positions.
 
     >>> find_occurrence((3, 4, 1, 5, 2), (2, 3, 1))
     (1, 2, 3)
     >>> find_occurrence((3, 2, 1, 5, 4), (2, 3, 1)) is None
     True
     """
-    decide = _DECIDE_LENGTH3.get(tuple(patt))
-    if decide is None:
-        return _scan_occurrence(perm, patt)
-    if not decide(perm):
-        return None
-    return _first_occurrence3(perm, patt)
+    if tuple(patt) in _LENGTH3:
+        return _first_occurrence3(perm, patt)
+    return _scan_occurrence(perm, patt)
 
 
 def contains(perm: Perm, patt: Perm) -> bool:

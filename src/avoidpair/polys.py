@@ -382,11 +382,6 @@ def _monomial(exps: tuple) -> str:
     return " ".join(factors) or "1"
 
 
-def _check_factor_constants(factors: Iterable[MultiPoly]) -> None:
-    if any(factor.constant_term() != 1 for factor in factors):
-        raise ValueError("denominator factor constant terms must be 1")
-
-
 class RationalGF(Record):
     """Numerator/denominator pair; the denominator's constant term must be 1.
 
@@ -409,21 +404,17 @@ class RationalGF(Record):
         if den.constant_term() != 1:
             raise ValueError("denominator constant term must be 1")
         if den_factors:
-            _check_factor_constants(den_factors)
+            if any(factor.constant_term() != 1 for factor in den_factors):
+                raise ValueError("denominator factor constant terms must be 1")
             first, *rest = den_factors
             if math.prod(rest, start=first) != den:
                 raise ValueError("denominator factors do not multiply to the denominator")
         self._set(num=num, den=den, den_factors=den_factors or (den,))
 
     def _image(self, image) -> "RationalGF":
-        # image is a ring homomorphism, so the factors' images multiply to
-        # the image of den: that product is not formed again to check it.
-        gf = RationalGF(image(self.num), image(self.den))
-        if len(self.den_factors) > 1:
-            factors = tuple(map(image, self.den_factors))
-            _check_factor_constants(factors)
-            gf._set(den_factors=factors)
-        return gf
+        factors = self.den_factors
+        return RationalGF(image(self.num), image(self.den),
+                          tuple(map(image, factors)) if len(factors) > 1 else ())
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalGF":
         return self._image(lambda poly: poly.rename(mapping))

@@ -38,9 +38,9 @@ from .perms import (
     pattern_pair,
     reverse,
 )
-# brute_distribution and _joint_counts live in oracle, which table --oracle
-# loads without this module, and are re-exported here.
-from .oracle import _joint_counts, brute_distribution  # noqa: F401
+# brute_distribution lives in oracle, which table --oracle loads without
+# this module, and is re-exported here.
+from .oracle import brute_distribution
 from .polys import expand
 
 DEFAULT_N_COUNTS = 12

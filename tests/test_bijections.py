@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avoidpair import bijections
 from avoidpair.bijections import (
     LAYERED_PAIR,
     RUN_PAIR,
@@ -338,6 +339,32 @@ class TestRebuildCheck:
             assert outcome(fn, arg) == outcome(reference, arg), arg
         # a one-shot iterable is read once, as before
         assert outcome(fn, iter((2, 1))) == outcome(reference, iter((2, 1)))
+
+    def test_long_members_are_decided_without_a_pattern_search(self, monkeypatch):
+        # A length-3 search over 5000 entries takes about a second; the
+        # rebuild check is linear, for a tuple and for a list alike.
+        n = 5000
+        ascending = tuple(range(1, n + 1))
+        layered = tuple(v for low in range(1, n + 1, 4) for v in range(low + 3, low - 1, -1))
+        runs = runs_compose((4,) * (n // 4))
+        expected = [
+            (layered_decompose, ascending, (1,) * n),
+            (layered_decompose, layered, (4,) * (n // 4)),
+            (runs_decompose, ascending, (n,)),
+            (runs_decompose, runs, (4,) * (n // 4)),
+            (complement_map, ascending, decreasing(n)),
+            (complement_map, layered, layered_compose((1, 1, 1, *(2, 1, 1) * (n // 4 - 1), 1))),
+            (transfer_map, ascending, decreasing(n)),
+            (transfer_map, layered, runs),
+        ]
+
+        def no_search(perm, patt):
+            raise AssertionError("a member took a pattern search")
+
+        monkeypatch.setattr(bijections, "find_occurrence", no_search)
+        for decoder, member, image in expected:
+            assert decoder(member) == image
+            assert decoder(list(member)) == image
 
     def test_every_rebuilt_member_avoids_its_pair(self):
         for n in range(11):

@@ -1,7 +1,11 @@
 """CLI behaviour: output bytes in-process, exit codes end-to-end."""
 
+import contextlib
+import io
+import itertools
 import json
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,14 +14,18 @@ from pathlib import Path
 import pytest
 
 from avoidpair import catalog, cli
+from avoidpair.bijections import LAYERED_PAIR, layered_compose
 from avoidpair.cli import main
 from avoidpair.oracle import brute_distribution
 from avoidpair.perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
     all_pairs,
+    all_perms,
+    avoids_pair,
     enumerate_class,
     format_pair,
+    format_perm,
     parse_pair,
 )
 from avoidpair.polys import MultiPoly, coefficient, expand
@@ -82,6 +90,40 @@ class TestCount:
         assert code == 0 and out == f"{1 + n * (n - 1) // 2}\n"
         code, out, _ = run_cli(capsys, "count", "--pair", "123,321", "--n", str(n))
         assert code == 0 and out == "0\n"
+
+
+class TestLengthArguments:
+    """--n and --n-max take ASCII digits only, as --perm does."""
+
+    COMMANDS = {
+        "count": ("count", "--pair", "123,132", "--n"),
+        "table": ("table", "--pair", "231,312", "--family", "G", "--n"),
+        "verify": ("verify", "counts", "--n-max"),
+    }
+
+    def usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        return err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text", ["\u0665", "\uff15", "1_0", "+3", "3.0", "- 3", ""])
+    def test_anything_but_ascii_digits_is_not_an_integer(self, capsys, command, text):
+        argv = self.COMMANDS[command]
+        assert self.usage_error(capsys, (*argv, text)) == (
+            f"avoidpair {command}: error: argument {argv[-1]}: not an integer: {text!r}")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text", ["-3", " -3", "-0"])
+    def test_a_minus_sign_is_negative(self, capsys, command, text):
+        argv = self.COMMANDS[command]
+        assert self.usage_error(capsys, (*argv, text)) == (
+            f"avoidpair {command}: error: argument {argv[-1]}: must be non-negative")
+
+    def test_surrounding_whitespace_is_allowed(self, capsys):
+        assert run_cli(capsys, "count", "--pair", "123,132", "--n", " 3\n") == (0, "4\n", "")
 
 
 class TestEnumerate:
@@ -263,6 +305,33 @@ class TestTable:
         assert out == "4 p q y z\n"
 
 
+def map_rejection_perms():
+    """Map arguments outside the layered class that both maps decode."""
+    perms = [perm for perm in all_perms(4) if not avoids_pair(perm, LAYERED_PAIR)]
+    # 60 long: a 312 planted after a layered prefix, a 231 before one
+    prefix = layered_compose((3, 1, 4, 2, 5, 1, 6, 3, 7, 2, 8, 3, 9, 3))
+    perms.append(prefix + (60, 58, 59))
+    perms.append((2, 3, 1) + tuple(v + 3 for v in prefix))
+    for seed in range(3):
+        values = list(range(1, 51))
+        random.Random(seed).shuffle(values)
+        perms.append(tuple(values))
+    return perms
+
+
+def map_rejections_transcript():
+    """Each rejected ``map`` call, its exit code and its stderr, in turn."""
+    blocks = []
+    for perm, which in itertools.product(map_rejection_perms(), ("f", "g")):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["map", "--which", which, "--perm", format_perm(perm)])
+        assert stdout.getvalue() == ""
+        blocks.append(f'$ avoidpair map --which {which} --perm "{format_perm(perm)}"\n'
+                      f"exit {code}\n{stderr.getvalue()}")
+    return "".join(blocks)
+
+
 class TestMap:
     def test_transfer_of_12(self, capsys):
         code, out, _ = run_cli(capsys, "map", "--which", "g", "--perm", "1 2")
@@ -286,6 +355,10 @@ class TestMap:
             code, out, err = run_cli(capsys, "map", "--which", which, "--perm", "")
             assert code == 2 and out == ""
             assert err == "error: map is defined for n >= 1 only\n"
+
+    def test_rejections_match_the_recorded_transcript(self):
+        expected = (Path(__file__).parent / "data" / "map_rejections.txt").read_text()
+        assert map_rejections_transcript() == expected
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from avoidpair import perms
 from avoidpair.perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
@@ -231,14 +232,23 @@ class TestContainment:
     def test_length3_positions_equal_subset_scan_on_longer_perms(self, perm, patt):
         assert find_occurrence(perm, patt) == _scan_occurrence(perm, patt)
 
-    def test_long_members_are_decided_without_the_subset_scan(self):
-        # C(5000, 3) subsets are out of reach for the scan; the fast path is linear.
-        n = 5000
-        assert find_occurrence(tuple(range(1, n + 1)), (3, 2, 1)) is None
-        layered = tuple(v for low in range(1, n + 1, 4) for v in range(low + 3, low - 1, -1))
-        assert sorted(layered) == list(range(1, n + 1))
-        assert find_occurrence(layered, (2, 3, 1)) is None
-        assert find_occurrence(layered, (3, 1, 2)) is None
+    def test_only_the_six_length3_patterns_take_the_quadratic_search(self, monkeypatch):
+        # Length-3 tuples over 0..3 that are not permutations of 1..3 take
+        # the subset scan and get its positions.
+        others = [patt for patt in itertools.product(range(4), repeat=3)
+                  if patt not in LENGTH3]
+
+        def not_a_pattern(perm, patt):
+            raise AssertionError(f"{patt} took the length-3 search")
+
+        monkeypatch.setattr(perms, "_first_occurrence3", not_a_pattern)
+        for n in range(6):
+            for perm in all_perms(n):
+                for patt in others:
+                    assert find_occurrence(perm, patt) == _scan_occurrence(perm, patt), (
+                        perm,
+                        patt,
+                    )
 
     def test_avoids_pair(self):
         pair = pattern_pair((2, 3, 1), (3, 1, 2))

@@ -600,8 +600,8 @@ class TestStagedKernel:
             coefficient(gf, 3)
 
     def test_rename_and_substitute_one_map_each_factor(self):
-        # The images are built without multiplying the factors out, so this
-        # is the check that their product is still the denominator.
+        # Each image is built through the checking constructor from the
+        # images of the factors, which keep multiplying to the denominator.
         mapping = {"p": "q", "q": "p", "u": "t", "t": "u"}
         for pair in INFINITE_PAIRS:
             for family in FAMILIES:
