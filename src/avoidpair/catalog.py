@@ -381,17 +381,22 @@ def _entry_json(entry: CatalogEntry) -> dict:
     return data
 
 
+def audit_order() -> tuple[list, list]:
+    """The stored ``((pair, key), entry)`` items as every audit lists them: the
+    joint ones by family then pair, the single ones by pair then statistic."""
+    joint = sorted(_joint_entries().items(), key=lambda item: (item[0][1], item[0][0]))
+    single = sorted(_single_entries().items(),
+                    key=lambda item: (item[0][0], STAT_NAMES.index(item[0][1])))
+    return joint, single
+
+
 def dump() -> dict:
     """Every stored formula in the polynomial wire format, for audit."""
+    joint_entries, single_entries = audit_order()
     joint: dict[str, dict] = {family: {} for family in FAMILIES}
-    for (pair, family), entry in sorted(
-        _joint_entries().items(), key=lambda item: (item[0][1], item[0][0])
-    ):
+    for (pair, family), entry in joint_entries:
         joint[family][format_pair(pair)] = _entry_json(entry)
     single: dict[str, dict] = {}
-    for (pair, stat), entry in sorted(
-        _single_entries().items(),
-        key=lambda item: (item[0][0], STAT_NAMES.index(item[0][1])),
-    ):
+    for (pair, stat), entry in single_entries:
         single.setdefault(format_pair(pair), {})[stat] = _entry_json(entry)
     return {"joint": joint, "single": single}

@@ -23,6 +23,7 @@ from .perms import (
     FiniteClassError,
     class_count,
     enumerate_class,
+    format_pair,
     format_perm,
     parse_pair,
     parse_perm,
@@ -220,6 +221,11 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max == 0 and args.scope in ("all", "maps"):
+        # The maps are defined from n = 1, so their range would be empty.
+        print("error: the map checks start at n = 1; verify --n-max 0 runs only "
+              "with the counts or gf scope", file=sys.stderr)
+        return 2
     from . import verify
 
     reports = verify.suite(args.scope, args.n_max)
@@ -230,37 +236,32 @@ def _cmd_verify(args) -> int:
 
 def _cmd_catalog_dump(args) -> int:
     from . import catalog
-    from .polys import MultiPoly
 
-    data = catalog.dump()
     if args.format == "json":
         import json
 
-        print(json.dumps(data, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        rows = []
-        for family, pairs in sorted(data["joint"].items()):
-            for pair_text, entry in sorted(pairs.items()):
-                for part in ("num", "den"):
-                    for term in entry[part]:
-                        exps = " ".join(f"{k}^{v}" for k, v in sorted(term["exponents"].items()))
-                        rows.append((family, pair_text, part, exps, term["coeff"]))
+        print(json.dumps(catalog.dump(), indent=2, sort_keys=True))
+        return 0
+    joint, single = catalog.audit_order()
+    if args.format == "csv":
+        from .polys import VARS
+
+        rows = [
+            (family, format_pair(pair), part,
+             " ".join(f"{name}^{e}" for name, e in sorted(zip(VARS, exps)) if e), coeff)
+            for (pair, family), entry in joint
+            for part, poly in (("num", entry.gf.num), ("den", entry.gf.den))
+            for exps, coeff in poly.terms()
+        ]
         print(_csv_rows(rows, ["family", "pair", "part", "monomial", "coefficient"]))
     else:
-        labelled = [
-            (f"{family} {pair_text}", entry)
-            for family, pairs in sorted(data["joint"].items())
-            for pair_text, entry in sorted(pairs.items())
-        ] + [
-            (f"{pair_text} {stat}", entry)
-            for pair_text, entries in sorted(data["single"].items())
-            for stat, entry in entries.items()
-        ]
+        labelled = [(f"{family} {format_pair(pair)}", entry) for (pair, family), entry in joint]
+        labelled += [(f"{format_pair(pair)} {stat}", entry) for (pair, stat), entry in single]
         for label, entry in labelled:
-            corrected = " (oracle-corrected)" if entry["oracle_corrected"] else ""
+            corrected = " (oracle-corrected)" if entry.oracle_corrected else ""
             print(f"{label}{corrected}")
-            print(f"  num: {MultiPoly.from_json_terms(entry['num'])}")
-            print(f"  den: {MultiPoly.from_json_terms(entry['den'])}")
+            print(f"  num: {entry.gf.num}")
+            print(f"  den: {entry.gf.den}")
     return 0
 
 

@@ -111,7 +111,9 @@ def check_gf(pair: Pair, family: str, n_max: int, gf=None, *,
 
 
 def check_counts(n_max: int = DEFAULT_N_COUNTS) -> VerifyReport:
-    """Enumerated class sizes vs the closed-form counts, all 15 pairs."""
+    """Enumerated class sizes vs the closed-form counts, all 15 pairs, n = 0..n_max."""
+    if n_max < 0:
+        raise ValueError(f"the counts check needs n_max >= 0, got {n_max}")
     for pair in all_pairs():
         for n in range(n_max + 1):
             actual = class_size(pair, n)
@@ -159,8 +161,12 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
     * consequently the quadruple has the same multiset on both classes.
 
     Each length computes one member-to-quadruple table per class, shared by
-    all five facts; only the current length's tables are kept.
+    all five facts; only the current length's tables are kept.  The maps
+    are defined from n = 1, so ``n_max`` must be at least 1.
     """
+    if n_max < 1:
+        raise ValueError("the map checks start at n = 1, so n_max must be at least 1, "
+                         f"got {n_max}")
     prefix_pair = pattern_pair((2, 1, 3), (3, 1, 2))
     checks = [
         ("involution-swaps-quadruple", LAYERED_PAIR, complement_map, LAYERED_PAIR),
@@ -175,15 +181,15 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
         for name, src, mapping, dst in checks:
             if name in found:
                 continue
-            target, seen = tables[dst], set()
+            # An image is a fresh member exactly when it is still here to pop.
+            unclaimed = dict(tables[dst])
             for perm, quad in tables[src].items():
                 image = mapping(perm)
-                image_quad = target.get(image)
-                if image_quad is None or image in seen:
+                image_quad = unclaimed.pop(image, None)
+                if image_quad is None:
                     found[name] = {"n": n, "perm": list(perm), "image": list(image),
                                    "reason": "image is not a fresh member of the target class"}
                     break
-                seen.add(image)
                 if image_quad != _swapped(quad):
                     found[name] = {"n": n, "perm": list(perm), "image": list(image),
                                    "reason": "quadruple not swapped"}

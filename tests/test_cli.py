@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from avoidpair import catalog, cli
+from avoidpair import catalog, cli, verify
 from avoidpair.bijections import LAYERED_PAIR, layered_compose
 from avoidpair.cli import main
 from avoidpair.oracle import brute_distribution
@@ -381,6 +381,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "maps", "--n-max", "5")
         assert code == 0 and len(out.strip().split("\n")) == 5
 
+    @pytest.mark.parametrize("scope", [[], ["all"], ["maps"]])
+    def test_an_empty_map_range_is_a_usage_error_before_any_check(self, capsys, monkeypatch,
+                                                                  scope):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ("check_counts", "check_gf", "check_equidistribution_maps"):
+            monkeypatch.setattr(verify, name, no_check)
+        code, out, err = run_cli(capsys, "verify", *scope, "--n-max", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scope, lines", [("counts", 1), ("gf", 28)])
+    def test_scopes_without_maps_check_length_zero(self, capsys, scope, lines):
+        code, out, err = run_cli(capsys, "verify", scope, "--n-max", "0")
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert (code, err, len(reports)) == (0, "", lines)
+        assert all(r["n_range"] == [0, 0] and r["status"] == "pass" for r in reports)
+
 
 class TestCatalogDump:
     def test_json_shape(self, capsys):
@@ -412,6 +431,19 @@ class TestCatalogDump:
                 render(f"{text} {stat}", catalog.single_stat_entry(parse_pair(text), stat))
         code, out, _ = run_cli(capsys, "catalog-dump", "--format", "plain")
         assert code == 0 and out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt, name", [("csv", "catalog_dump.csv"),
+                                           ("plain", "catalog_dump.txt")])
+    def test_plain_and_csv_print_the_stored_entries_without_the_wire_format(
+            self, capsys, monkeypatch, fmt, name):
+        def no_round_trip(*args, **kwargs):
+            raise AssertionError("the wire format was parsed back")
+
+        monkeypatch.setattr(MultiPoly, "from_json_terms", no_round_trip)
+        monkeypatch.setattr(catalog, "_entry_json", no_round_trip)
+        expected = (Path(__file__).parent / "data" / name).read_bytes()
+        code, out, err = run_cli(capsys, "catalog-dump", "--format", fmt)
+        assert (code, out.encode(), err) == (0, expected, "")
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "catalog-dump", "--format", "csv")
@@ -557,6 +589,11 @@ class TestExitCodesEndToEnd:
     def test_verify_scoped_success(self):
         result = run_process("verify", "counts", "--n-max", "5")
         assert result.returncode == 0
+
+    def test_verify_empty_map_range_is_a_usage_error(self):
+        result = run_process("verify", "maps", "--n-max", "0")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     def test_finite_pair_table_closed_form_fails_and_oracle_answers(self):
         # 123,321 has no rational form, so the closed-form path is a data

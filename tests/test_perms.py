@@ -310,6 +310,9 @@ class TestEnumeration:
             pattern_pair((1, 2, 3), (1, 3, 2)),
             pattern_pair((1, 3, 2), (3, 2, 1)),
             pattern_pair((1, 2, 3), (3, 2, 1)),
+            # derived from the ascending-run class by inverse, and its image
+            pattern_pair((2, 1, 3), (3, 1, 2)),
+            pattern_pair((1, 3, 2), (2, 3, 1)),
         ):
             assert enumerate_class(pair, 7) == filter_class(pair, 7)
 

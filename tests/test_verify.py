@@ -160,6 +160,10 @@ class TestCheckCounts:
         report = check_counts(8)
         assert report.passed
 
+    def test_a_negative_range_is_rejected(self):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            check_counts(-1)
+
     def test_failure_shape(self):
         report = VerifyReport(
             name="x", pair=None, family=None, n_range=(0, 1), status="fail",
@@ -212,6 +216,16 @@ class TestEquidistributionMaps:
             "n": 2, "perm": [2, 1], "image": [2, 1],
             "reason": "image is not a fresh member of the target class",
         }
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_a_range_without_a_length_is_rejected(self, n_max):
+        # the maps start at n = 1, so these ranges would check nothing
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            check_equidistribution_maps(n_max)
+
+    def test_one_length_is_checked(self):
+        reports = check_equidistribution_maps(1)
+        assert [r.n_range for r in reports] == [(1, 1)] * 5 and all_passed(reports)
 
     def test_two_element_multisets_by_hand(self):
         # at n = 2 both classes carry the multiset {p y, q z}
