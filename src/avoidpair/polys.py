@@ -460,9 +460,14 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
 
     Coefficients are accumulated in dicts keyed by the ring's packed
     exponents (see :class:`MultiPoly`), so multiplying two monomials adds
-    their keys.  Each stage's output drops its zero terms and is already a
-    coefficient's term dict: the last stage's outputs become the returned
-    MultiPolys as they are, with no unpacking and no copy.
+    their keys.  A stage stores its factor terms negated, as the terms of
+    -F_j, when it is built, so the recurrence only adds; a term whose
+    stored coefficient is +1 or -1 (every term of the layered G
+    denominator, and most F-factor terms) adds or subtracts an earlier
+    output's coefficients without a multiply.  A stage's output holds a zero only where a term cancelled,
+    so it is filtered only then; it is already a coefficient's term dict,
+    and the last stage's outputs become the returned MultiPolys as they
+    are, with no unpacking and no copy.
 
     The ring's fields are 64 bits wide.  Before cancellation every term of
     a stage's k-th output is a term of num times at most k factor terms of
@@ -514,7 +519,9 @@ def _packed_series(gf: RationalGF, n_max: int):
         slices = factor.x_slices()
         if slices.pop(0, None) != MultiPoly.one():
             raise ValueError("denominator must have x-free part exactly 1 for expansion")
-        by_degree = sorted((j, list(slice_._terms.items())) for j, slice_ in slices.items())
+        # negated once here, so the recurrence adds every factor term
+        by_degree = sorted((j, [(e, -c) for e, c in slice_._terms.items()])
+                           for j, slice_ in slices.items())
         stages.append((by_degree, deque(maxlen=by_degree[-1][0] if by_degree else 0)))
 
     def coefficients():
@@ -528,10 +535,21 @@ def _packed_series(gf: RationalGF, n_max: int):
                         break
                     prev = recent[-j].items()
                     for ef, cf in factor_terms:
-                        for ec, cc in prev:
-                            e = ef + ec
-                            acc[e] = get(e, 0) - cf * cc
-                acc = _nonzero(acc)
+                        # a +-1 factor term adds or subtracts without a multiply
+                        if cf == 1:
+                            for ec, cc in prev:
+                                e = ef + ec
+                                acc[e] = get(e, 0) + cc
+                        elif cf == -1:
+                            for ec, cc in prev:
+                                e = ef + ec
+                                acc[e] = get(e, 0) - cc
+                        else:
+                            for ec, cc in prev:
+                                e = ef + ec
+                                acc[e] = get(e, 0) + cf * cc
+                if 0 in acc.values():  # only a cancellation leaves a zero
+                    acc = _nonzero(acc)
                 recent.append(acc)
             yield acc
 

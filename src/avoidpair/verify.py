@@ -149,6 +149,12 @@ def _swapped(quad) -> tuple[int, int, int, int]:
     return (d, a, zd, ya)
 
 
+def _require_a_map_length(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError("the map checks start at n = 1, so n_max must be at least 1, "
+                         f"got {n_max}")
+
+
 def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyReport]:
     """The five statistic-exchange facts, checked pointwise and as multisets.
 
@@ -164,9 +170,7 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
     all five facts; only the current length's tables are kept.  The maps
     are defined from n = 1, so ``n_max`` must be at least 1.
     """
-    if n_max < 1:
-        raise ValueError("the map checks start at n = 1, so n_max must be at least 1, "
-                         f"got {n_max}")
+    _require_a_map_length(n_max)
     prefix_pair = pattern_pair((2, 1, 3), (3, 1, 2))
     checks = [
         ("involution-swaps-quadruple", LAYERED_PAIR, complement_map, LAYERED_PAIR),
@@ -217,6 +221,9 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     def upto(default: int) -> int:
         return default if n_max is None else n_max
 
+    if scope in ("all", "maps"):
+        # before any check runs, so a bad map range throws no work away
+        _require_a_map_length(upto(DEFAULT_N_MAPS))
     reports = []
     if scope in ("all", "counts"):
         reports.append(check_counts(upto(DEFAULT_N_COUNTS)))

@@ -1,6 +1,7 @@
 """CLI behaviour: output bytes in-process, exit codes end-to-end."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -266,6 +267,19 @@ class TestTable:
                 out.append(text)
         expected = (Path(__file__).parent / "data" / f"table_n10_{fmt}.txt").read_bytes()
         assert "".join(out).encode() == expected
+
+    @pytest.mark.parametrize("pair, family, n", [("231,312", "G", "60"), ("132,213", "F", "30")])
+    def test_benchmark_size_json_matches_its_pinned_digest(self, capsys, pair, family, n):
+        # the file is in `sha256sum -c` format: CI checks the installed
+        # console script's output against the same digests
+        text = (Path(__file__).parent / "data" / "table_benchmark_sizes.sha256").read_text()
+        pinned = {name: digest for digest, name in (line.split("  ") for line in text.splitlines())}
+        code, out, err = run_cli(
+            capsys, "table", "--pair", pair, "--family", family, "--n", n, "--format", "json"
+        )
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == pinned[f"table_{pair}_{family}_n{n}.json"]
 
     def test_too_large_n_is_a_usage_error(self, capsys):
         # the packed exponents of the expansion would need more than 64 bits

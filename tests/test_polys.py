@@ -500,16 +500,18 @@ class TestPackedKernel:
             gf = gf_for(pair, family)
             assert expand(gf, n_max) == reference_expand(gf, n_max), format_pair(pair)
 
-    # The largest F denominator (23 terms) and a G one of x-degree 6, whose
-    # exponent bound (366) needs 16-bit fields.
-    @pytest.mark.parametrize("pair, family, n_max", [("132,213", "F", 30), ("123,231", "G", 60)])
+    # The largest F denominator (23 terms), a G one of x-degree 6 and the
+    # layered G form, the slowest expansion the benchmark makes.
+    @pytest.mark.parametrize("pair, family, n_max", [
+        ("132,213", "F", 30), ("123,231", "G", 60), ("231,312", "G", 60),
+    ])
     def test_benchmark_sizes_match_the_reference(self, pair, family, n_max):
         gf = gf_for(parse_pair(pair), family)
         assert expand(gf, n_max) == reference_expand(gf, n_max)
 
-    # Fields are 8, 16, 32 or 64 bits wide and hold the exponent bound plus one
-    # guard bit, so the width steps where k * n_max reaches 2^7, 2^15 and 2^31;
-    # (1, 256) overflows a whole 8-bit field, and 2^63 - 1 fills 64 bits.
+    # Fields are a fixed 64 bits wide and hold the exponent bound plus one
+    # guard bit.  The cases put k * n_max on both sides of 2^7, 2^15 and 2^31
+    # and up to 2^63 - 1, which fills every bit below the guard bit.
     @pytest.mark.parametrize("k, n_max", [
         (1, 127), (1, 128), (127, 1), (128, 1), (1, 256),
         (2**15 - 1, 1), (2**15, 1), (2**31 - 1, 1), (2**31, 1),
@@ -574,6 +576,43 @@ class TestStagedKernel:
         table = expand(staged, n_max)
         assert table == reference_expand(RationalGF(num, den), n_max)
         assert coefficient(staged, n_max) == table.coeffs[n_max]
+
+    @settings(deadline=None)  # the reference multiplies whole MultiPolys
+    @given(
+        marker_poly((0, 1, 2), 6),
+        st.lists(marker_poly((1, 2), 6), min_size=1, max_size=4),
+        st.integers(0, 8),
+    )
+    def test_exact_division_by_a_factor_list(self, quotient, factor_tails, n_max):
+        # num = den * quotient: past deg_x(quotient) every coefficient cancels to 0
+        factors = tuple(1 + tail for tail in factor_tails)
+        den = math.prod(factors, start=MultiPoly.one())
+        gf = RationalGF(den * quotient, den, factors)
+        table = expand(gf, n_max)
+        slices = quotient.x_slices()
+        assert list(table.coeffs) == [slices.get(k, MultiPoly.zero()) for k in range(n_max + 1)]
+        last = coefficient(gf, n_max)
+        assert last == table.coeffs[n_max]
+        assert all(coeff for poly in (*table.coeffs, last) for _, coeff in poly.terms())
+
+    # Each form's factor terms take one branch of the kernel's inner loop: all
+    # -1, all +1, or other coefficients (2 and -3).  The numerators make terms
+    # cancel within a stage.
+    @pytest.mark.parametrize("num, factors", [
+        ((1 - X) * (1 - P * Y * X**2) - Z * X**3,
+         (1 - X - Q * Y * X, 1 - P * X**2 - Z * X**2)),
+        ((1 + X) * (1 + P * X) + Q * X**2,
+         (1 + X + P * X, 1 + Q * Y * X**2)),
+        ((1 + 2 * P * X) * (1 - 3 * X) + Y * X**2,
+         (1 + 2 * P * X - 3 * Q * X**2, 1 - 3 * X, 1 + 2 * Y * X)),
+    ], ids=["minus-one", "plus-one", "two-and-minus-three"])
+    def test_each_coefficient_branch_matches_the_reference(self, num, factors):
+        den = math.prod(factors, start=MultiPoly.one())
+        gf = RationalGF(num, den, factors)
+        table = expand(gf, 12)
+        assert table == reference_expand(RationalGF(num, den), 12)
+        assert coefficient(gf, 12) == table.coeffs[12]
+        assert all(coeff for poly in table.coeffs for _, coeff in poly.terms())
 
     def test_factors_default_to_the_denominator(self):
         den = 1 - X - Q * X

@@ -248,6 +248,16 @@ class TestSuite:
         with pytest.raises(ValueError, match="unknown scope"):
             suite("everything")
 
+    @pytest.mark.parametrize("scope", ["all", "maps"])
+    def test_an_empty_map_range_is_rejected_before_any_check(self, monkeypatch, scope):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before the map range was rejected")
+
+        monkeypatch.setattr(verify, "check_counts", must_not_run)
+        monkeypatch.setattr(verify, "check_gf", must_not_run)
+        with pytest.raises(ValueError, match="n_max must be at least 1, got 0"):
+            suite(scope, 0)
+
 
 class TestDefaultSuite:
     def test_everything_passes(self):
