@@ -1,28 +1,32 @@
 """Composition codecs and statistic-exchanging maps on two structured classes.
 
 Permutations avoiding {231, 312} are exactly the layered ones: direct sums
-of decreasing blocks, so each corresponds to a composition of n (its block
-sizes), equivalently to the set of block boundaries inside {1, ..., n-1}.
-Permutations avoiding {213, 231} decompose uniquely into maximal ascending
-runs ending at right-to-left maxima, again giving a composition.
+of decreasing blocks.  Permutations avoiding {213, 231} decompose uniquely
+into maximal ascending runs ending at right-to-left maxima.  Either class
+holds one member per composition of n, or equivalently per set of cut
+positions in {1, ..., n-1}: a cut c splits a member between positions c and
+c + 1.  A layered member is cut at its ascents, an ascending-run member at
+its descents, so one scan of adjacent pairs decodes a member to its cuts,
+and each member is rebuilt straight from its cuts.
 
-Two maps ride on these codecs:
+Two maps act on the cuts of a layered member:
 
 * ``complement_map`` (an involution on the layered class) complements the
-  boundary set, exchanging (asc, des, mna, mnd) with (des, asc, mnd, mna)
-  pointwise;
+  cut set, taking the descent positions as the image's cuts; it exchanges
+  (asc, des, mna, mnd) with (des, asc, mnd, mna) pointwise;
 * ``transfer_map`` (a bijection from the layered class onto the ascending-run
-  class) reverses the block-size sequence, exchanging the same quadruple and
-  placing a right-to-left maximum of the image at position n+1-i exactly
-  when the source has a left-to-right maximum at position i.
+  class) mirrors each cut c to n - c, which reverses the block-size
+  sequence; it exchanges the same quadruple and places a right-to-left
+  maximum of the image at position n+1-i exactly when the source has a
+  left-to-right maximum at position i.
 
 Both maps are defined for n >= 1 only; the empty permutation is rejected.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, compress
+from operator import gt, lt, sub
 
 from .perms import (
     Pair,
@@ -77,33 +81,38 @@ def _from_cuts(cuts: list[int], n: int) -> Composition:
     return tuple(list(map(sub, [*cuts, n], [0, *cuts])))
 
 
-def _run_lengths(perm: Perm, pair: Pair, descending: bool) -> Composition:
-    """Lengths of the maximal descending (or ascending) runs of a member of ``pair``.
+def _member_cuts(perm: Perm, layered: bool) -> tuple[Perm, list[int]]:
+    """A member of the layered (or ascending-run) class as a tuple, and its cuts.
 
-    Both classes hold exactly one member per composition, and that member's
-    maximal runs are its parts.  So a permutation is in the class exactly
-    when the member rebuilt from its run lengths is the permutation itself,
-    which costs two linear passes and no pattern search.  Only a rejection
-    searches, so that its error names the first occurrence of a forbidden
-    pattern; input that is not a permutation fails validation first.
+    A cut c in {1, ..., n-1} splits the member between positions c and
+    c + 1: the layered class is cut at its ascents, so its blocks are its
+    maximal descending runs, and the ascending-run class at its descents.
+    Both classes hold exactly one member per cut set, so a permutation is
+    in the class exactly when the member rebuilt from its cuts is the
+    permutation itself, which costs two linear passes and no pattern
+    search.  Only a rejection searches, so that its error names the first
+    occurrence of a forbidden pattern; input that is not a permutation
+    fails validation first.
     """
     if not (type(perm) is tuple and {*map(type, perm)} <= {int}):
         perm = make_permutation(perm)
-    comp = _cut_runs(perm, descending)
-    if (_layered if descending else _runs)(comp) != perm:
-        _require_class(make_permutation(perm), pair)
-    return comp
-
-
-def _cut_runs(perm: Perm, descending: bool) -> Composition:
-    cuts = [i for i in range(1, len(perm)) if (perm[i] > perm[i - 1]) == descending]
-    return _from_cuts(cuts, len(perm))
+    n = len(perm)
+    cuts = list(compress(range(1, n), map(lt if layered else gt, perm, perm[1:])))
+    if (_layered if layered else _runs)(cuts, n) != perm:
+        _require_class(make_permutation(perm), LAYERED_PAIR if layered else RUN_PAIR)
+    return perm, cuts
 
 
 def compositions(n: int):
-    """All 2^(n-1) compositions of n, via boundary subsets of {1, ..., n-1}."""
+    """All 2^(n-1) compositions of n, via the cut sets in {1, ..., n-1}."""
     for mask in range(1 << max(n - 1, 0)):
         yield _from_cuts([i + 1 for i in range(n - 1) if mask >> i & 1], n)
+
+
+def _cuts_of(comp: Composition) -> tuple[list[int], int]:
+    """The cut positions of a composition, and the n it composes."""
+    ends = list(accumulate(make_composition(comp)))
+    return ends[:-1], ends[-1] if ends else 0
 
 
 def layered_compose(comp: Composition) -> Perm:
@@ -114,15 +123,16 @@ def layered_compose(comp: Composition) -> Perm:
     >>> layered_compose((3, 3, 1, 3, 1, 1, 1, 1))
     (3, 2, 1, 6, 5, 4, 7, 10, 9, 8, 11, 12, 13, 14)
     """
-    return _layered(make_composition(comp))
+    return _layered(*_cuts_of(comp))
 
 
-def _layered(comp: Composition) -> Perm:
+def _layered(cuts: list[int], n: int) -> Perm:
+    """The layered member of length n cut at ``cuts``."""
     perm = []
-    low = 1
-    for part in comp:
-        perm.extend(range(low + part - 1, low - 1, -1))
-        low += part
+    low = 0
+    for high in [*cuts, n]:
+        perm += range(high, low, -1)
+        low = high
     return tuple(perm)
 
 
@@ -132,7 +142,8 @@ def layered_decompose(perm: Perm) -> Composition:
     >>> layered_decompose((1, 2, 4, 3, 5, 8, 7, 6, 9, 14, 13, 12, 11, 10))
     (1, 1, 2, 1, 3, 1, 5)
     """
-    return _run_lengths(perm, LAYERED_PAIR, descending=True)
+    perm, cuts = _member_cuts(perm, layered=True)
+    return _from_cuts(cuts, len(perm))
 
 
 def runs_compose(comp: Composition) -> Perm:
@@ -144,17 +155,18 @@ def runs_compose(comp: Composition) -> Perm:
     >>> runs_compose((5, 1, 3, 1, 2, 1, 1))
     (1, 2, 3, 4, 14, 13, 5, 6, 12, 11, 7, 10, 9, 8)
     """
-    return _runs(make_composition(comp))
+    return _runs(*_cuts_of(comp))
 
 
-def _runs(comp: Composition) -> Perm:
-    low, high = 1, sum(comp)
+def _runs(cuts: list[int], n: int) -> Perm:
+    """The ascending-run member of length n cut at ``cuts``."""
     perm = []
-    for part in comp:
-        perm.extend(range(low, low + part - 1))
+    low, high, start = 1, n, 0
+    for end in [*cuts, n] if n else ():
+        top = low + end - start - 1
+        perm += range(low, top)
         perm.append(high)
-        low += part - 1
-        high -= 1
+        low, high, start = top, high - 1, end
     return tuple(perm)
 
 
@@ -164,37 +176,42 @@ def runs_decompose(perm: Perm) -> Composition:
     >>> runs_decompose((1, 2, 3, 4, 14, 13, 5, 6, 12, 11, 7, 10, 9, 8))
     (5, 1, 3, 1, 2, 1, 1)
     """
-    return _run_lengths(perm, RUN_PAIR, descending=False)
+    perm, cuts = _member_cuts(perm, layered=False)
+    return _from_cuts(cuts, len(perm))
 
 
 def complement_map(perm: Perm) -> Perm:
-    """Involution on the layered class complementing the boundary set.
+    """Involution on the layered class complementing the cut set.
 
-    The boundary set of the result is the complement within {1, ..., n-1}
-    of the argument's boundary set.  For n = 1 both sets are empty, making
-    1 the single fixed point; for n >= 2 there are none.
+    The cuts of the result are the argument's descent positions, the
+    complement within {1, ..., n-1} of its cuts (its ascent positions).
+    For n = 1 both sets are empty, making 1 the single fixed point; for
+    n >= 2 there are none.
 
     >>> complement_map((1, 2))
     (2, 1)
     """
     if len(perm) == 0:
         raise ValueError("map is defined for n >= 1 only")
-    comp = layered_decompose(perm)
-    n = sum(comp)
-    old = set(accumulate(comp))
-    return _layered(_from_cuts([b for b in range(1, n) if b not in old], n))
+    perm, _ = _member_cuts(perm, layered=True)
+    n = len(perm)
+    return _layered(list(compress(range(1, n), map(gt, perm, perm[1:]))), n)
 
 
 def transfer_map(perm: Perm) -> Perm:
     """Bijection from the layered class onto the ascending-run class.
 
-    Reverses the block-size sequence and re-encodes it as ascending runs;
-    left-to-right maxima at positions i map to right-to-left maxima at
-    positions n+1-i.  Fixed points: exactly one for odd n, none for even n.
+    The image is the ascending-run member cut at n - c for each cut c of
+    the argument, so its run lengths are the argument's block sizes
+    reversed; left-to-right maxima at positions i map to right-to-left
+    maxima at positions n+1-i.  Fixed points: exactly one for odd n, none
+    for even n.
 
     >>> transfer_map((1, 2))
     (2, 1)
     """
     if len(perm) == 0:
         raise ValueError("map is defined for n >= 1 only")
-    return _runs(layered_decompose(perm)[::-1])
+    perm, cuts = _member_cuts(perm, layered=True)
+    n = len(perm)
+    return _runs([n - c for c in reversed(cuts)], n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -109,14 +110,16 @@ def skew_sum(alpha: Perm, beta: Perm) -> Perm:
 
 def _scan_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
     # Definitional scan: position subsets in lexicographic order, so the
-    # first occurrence found is the lexicographically first one.  O(n^k).
+    # first occurrence found is the lexicographically first one.  A subset
+    # is an occurrence when each pair of its values compares as the
+    # matching pair of the pattern does.  O(n^k).
     k = len(patt)
     if k > len(perm):
         return None
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    for positions in itertools.combinations(range(len(perm)), k):
-        sub = [perm[i] for i in positions]
-        if all((sub[i] < sub[j]) == (patt[i] < patt[j]) for i, j in pairs):
+    relations = [a < b for a, b in itertools.combinations(patt, 2)]
+    subsets = zip(itertools.combinations(range(len(perm)), k), itertools.combinations(perm, k))
+    for positions, sub in subsets:
+        if [a < b for a, b in itertools.combinations(sub, 2)] == relations:
             return tuple(i + 1 for i in positions)
     return None
 
@@ -355,14 +358,14 @@ def _class_132_321(n: int) -> tuple[Perm, ...]:
 
 @lru_cache(maxsize=None)
 def _class_231_312(n: int) -> tuple[Perm, ...]:
-    # Layered permutations: a decreasing block on the smallest values,
-    # then any member on the values above it.
+    # Layered permutations: any shorter member on the smallest values, then
+    # a decreasing block on the values above it.
     if n == 0:
         return ((),)
     out = []
     for c in range(1, n + 1):
-        block = tuple(range(c, 0, -1))
-        out.extend(block + _shift(rest, c) for rest in _class_231_312(n - c))
+        block = tuple(range(n, n - c, -1))
+        out.extend(map(add, _class_231_312(n - c), itertools.repeat(block)))
     return tuple(out)
 
 
@@ -453,5 +456,5 @@ def enumerate_class(pair: Pair, n: int) -> list[Perm]:
     if n < 0:
         raise ValueError("n must be non-negative")
     canonical, op = reduce_to_canonical(pattern_pair(*pair))
-    transform = SYMMETRY_OPS[op]
-    return sorted(transform(member) for member in _CANONICAL_GENERATORS[canonical](n))
+    members = _CANONICAL_GENERATORS[canonical](n)
+    return sorted(members if op == "identity" else map(SYMMETRY_OPS[op], members))

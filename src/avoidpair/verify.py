@@ -7,14 +7,15 @@ counts to n = 12, family G to n = 10, family F to n = 9, maps to n = 12.
 
 Every check computes each class member's statistics once.  The oracle
 (:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts
-members by their eight-statistic vector and reads a family's marginal off
-those counts; within one :func:`suite` call, families G and F share one
-such table per (pair, n).  The counts check takes class sizes
-from :func:`~avoidpair.perms.class_size` without carrying members over.
-The map checks share one member-to-quadruple table per class and length,
-and the maps decode each member by rebuilding it from its run lengths
-rather than by searching it for the class's patterns.  :func:`suite` lists
-the reports of one ``avoidpair verify`` run for a scope.
+members by one packed key of all eight statistics and reads a family's
+marginal off those counts by masking the key; within one :func:`suite`
+call, families G and F share one such table per (pair, n).  The counts
+check takes class sizes from :func:`~avoidpair.perms.class_size` without
+carrying members over.  The map checks share one member-to-quadruple table
+per class and length, swap each distinct quadruple once, and map each
+member through its cut positions (see :mod:`avoidpair.bijections`), with
+no pattern search.  :func:`suite` lists the reports of one
+``avoidpair verify`` run for a scope.
 """
 
 from __future__ import annotations
@@ -129,24 +130,19 @@ def check_counts(n_max: int = DEFAULT_N_COUNTS) -> VerifyReport:
     return _report("counts-vs-formula", None, None, (0, n_max))
 
 
-def _quadruples(pair: Pair, n: int) -> dict:
+def _quadruples(pair: Pair, n: int, distinct: dict) -> dict:
     """Each member of the class at length n, with its (asc, des, mna, mnd).
 
     Members share few distinct quadruples, so each distinct one is stored
-    once rather than once per member; at n = 12 this keeps the three live
-    tables about 0.45 MB smaller.
+    once, in ``distinct``, rather than once per member; at n = 12 this keeps
+    the three live tables about 0.45 MB smaller.
     """
-    quadruples, distinct = {}, {}
+    quadruples = {}
     for perm in enumerate_class(pair, n):
         vec = stats.stat_vector(perm)
         quad = (vec.asc, vec.des, vec.mna, vec.mnd)
         quadruples[perm] = distinct.setdefault(quad, quad)
     return quadruples
-
-
-def _swapped(quad) -> tuple[int, int, int, int]:
-    a, d, ya, zd = quad
-    return (d, a, zd, ya)
 
 
 def _require_a_map_length(n_max: int) -> None:
@@ -158,7 +154,7 @@ def _require_a_map_length(n_max: int) -> None:
 def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyReport]:
     """The five statistic-exchange facts, checked pointwise and as multisets.
 
-    * the boundary-complement involution swaps (asc, des, mna, mnd) with
+    * the cut-complement involution swaps (asc, des, mna, mnd) with
       (des, asc, mnd, mna) pointwise on the layered class;
     * complement does the same on the ascending-run class;
     * reverse does the same on the increasing-prefix class {213, 312};
@@ -181,7 +177,10 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
     cross_name = "cross-class-equidistribution"
     found = {}
     for n in range(1, n_max + 1):
-        tables = {pair: _quadruples(pair, n) for pair in (LAYERED_PAIR, RUN_PAIR, prefix_pair)}
+        distinct = {}
+        tables = {pair: _quadruples(pair, n, distinct)
+                  for pair in (LAYERED_PAIR, RUN_PAIR, prefix_pair)}
+        swapped = {(a, d, ya, zd): (d, a, zd, ya) for a, d, ya, zd in distinct}
         for name, src, mapping, dst in checks:
             if name in found:
                 continue
@@ -194,7 +193,7 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
                     found[name] = {"n": n, "perm": list(perm), "image": list(image),
                                    "reason": "image is not a fresh member of the target class"}
                     break
-                if image_quad != _swapped(quad):
+                if image_quad != swapped[quad]:
                     found[name] = {"n": n, "perm": list(perm), "image": list(image),
                                    "reason": "quadruple not swapped"}
                     break

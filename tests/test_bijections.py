@@ -329,6 +329,15 @@ class TestRebuildCheck:
                 assert outcome(fn, perm) == outcome(reference, perm), perm
 
     @pytest.mark.parametrize("fn,reference", DECODERS, ids=lambda f: f.__name__)
+    def test_every_member_of_both_classes_in_the_verify_range_as_before(self, fn, reference):
+        # verify maps lengths up to 12; both classes, so each decoder meets
+        # members it accepts and members of the other class it rejects
+        for n in range(8, 13):
+            for pair in (LAYERED_PAIR, RUN_PAIR):
+                for perm in enumerate_class(pair, n):
+                    assert outcome(fn, perm) == outcome(reference, perm), perm
+
+    @pytest.mark.parametrize("fn,reference", DECODERS, ids=lambda f: f.__name__)
     def test_malformed_inputs_as_before(self, fn, reference):
         inputs = [
             (1.0, 2), (2, 1.0), (True, 2), (2, True), (Int(1), 2), ("a", 1), (1, "2"),

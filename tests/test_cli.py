@@ -346,6 +346,19 @@ def map_rejections_transcript():
     return "".join(blocks)
 
 
+def map_images_transcript():
+    """Both maps' ``map`` output on every layered member of length 8, in turn."""
+    blocks = []
+    for perm, which in itertools.product(enumerate_class(LAYERED_PAIR, 8), ("f", "g")):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["map", "--which", which, "--perm", format_perm(perm)])
+        assert stderr.getvalue() == ""
+        blocks.append(f'$ avoidpair map --which {which} --perm "{format_perm(perm)}"\n'
+                      f"exit {code}\n{stdout.getvalue()}")
+    return "".join(blocks)
+
+
 class TestMap:
     def test_transfer_of_12(self, capsys):
         code, out, _ = run_cli(capsys, "map", "--which", "g", "--perm", "1 2")
@@ -373,6 +386,10 @@ class TestMap:
     def test_rejections_match_the_recorded_transcript(self):
         expected = (Path(__file__).parent / "data" / "map_rejections.txt").read_text()
         assert map_rejections_transcript() == expected
+
+    def test_images_match_the_recorded_transcript(self):
+        expected = (Path(__file__).parent / "data" / "map_images_n8.txt").read_text()
+        assert map_images_transcript() == expected
 
 
 class TestVerify:

@@ -68,6 +68,16 @@ class TestBruteDistribution:
         with pytest.raises(ValueError, match="unknown family 'H'"):
             brute_distribution(FINITE_PAIR, 5, "H")
 
+    def test_each_statistic_has_one_marker_of_its_own(self):
+        # the oracle packs all eight statistics into one key, each in the
+        # field of its marker, and masks that key to read either family
+        marker = {}
+        for markers in stats.FAMILY_MARKERS.values():
+            for stat, var in markers.items():
+                assert marker.setdefault(stat, var) == var, stat
+        assert len(set(marker.values())) == len(marker)
+        assert sorted(marker) == sorted(stats.StatVector._fields)
+
     @pytest.mark.parametrize("family", ["F", "G"])
     def test_matches_the_monomial_sum_over_the_definitions(self, family):
         for pair in all_pairs():
