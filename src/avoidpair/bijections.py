@@ -76,9 +76,7 @@ def _from_cuts(cuts: list[int], n: int) -> Composition:
     """Composition of n whose partial sums below n are ``cuts``; () for n = 0."""
     if n == 0:
         return ()
-    # A list first: tuple() of a generator or map resizes its result, which
-    # adds about 0.2 MB to the peak memory of the map checks at n = 12.
-    return tuple(list(map(sub, [*cuts, n], [0, *cuts])))
+    return tuple(map(sub, [*cuts, n], [0, *cuts]))
 
 
 def _member_cuts(perm: Perm, layered: bool) -> tuple[Perm, list[int]]:

@@ -88,10 +88,8 @@ def _entry(num: MultiPoly, *den_factors: MultiPoly) -> CatalogEntry:
     # divides by one at a time.  Where the transcription writes a product of
     # linear-in-x factors they are passed apart, in the order whose
     # expansion to n = 30 makes the fewest multiply-adds (the order changes
-    # the intermediate series, not the result).  A power of one factor stays
-    # whole: the 132,321 G form to n = 60 took 0.38 ms through one stage of
-    # (1 - p^2 x^2 y)^3 and 0.45 ms through three of 1 - p^2 x^2 y (0.16
-    # against 0.21 ms to n = 20; medians, 2 cores, Python 3.11).
+    # the intermediate series, not the result).  A power of one factor, such
+    # as the 132,321 G cube, stays one stage: that expands faster than three.
     first, *rest = den_factors
     gf = RationalGF(num, math.prod(rest, start=first), den_factors)
     return CatalogEntry(gf=gf, raw=gf)

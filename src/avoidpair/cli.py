@@ -149,11 +149,13 @@ def _cmd_count(args) -> int:
         limit = 10 ** digits
         bits = limit.bit_length()
         if ((args.n - 1 >= bits and class_count(args.pair, bits + 1) >= limit)
-                or class_count(args.pair, args.n) >= limit):
+                or (count := class_count(args.pair, args.n)) >= limit):
             print(f"error: the count at n = {args.n} has more than {digits} digits",
                   file=sys.stderr)
             return 2
-    print(class_count(args.pair, args.n))
+    else:
+        count = class_count(args.pair, args.n)
+    print(count)
     return 0
 
 

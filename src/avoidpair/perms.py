@@ -324,10 +324,6 @@ def filter_class(pair: Pair, n: int) -> list[Perm]:
     return [perm for perm in all_perms(n) if avoids_pair(perm, pair)]
 
 
-def _shift(perm: Perm, k: int) -> Perm:
-    return tuple(v + k for v in perm)
-
-
 @lru_cache(maxsize=None)
 def _class_123_132(n: int) -> tuple[Perm, ...]:
     # Members split by the position k of n: a forced decreasing prefix
@@ -345,10 +341,8 @@ def _class_123_132(n: int) -> tuple[Perm, ...]:
 def _class_132_321(n: int) -> tuple[Perm, ...]:
     # n first; or n at an interior position with everything else forced
     # increasing around it; or n last with a shorter member in front.
-    if n == 0:
-        return ((),)
-    if n == 1:
-        return ((1,),)
+    if n < 2:
+        return (tuple(range(1, n + 1)),)
     out = [(n,) + tuple(range(1, n))]
     for k in range(2, n):
         out.append(tuple(range(n - k + 1, n)) + (n,) + tuple(range(1, n - k + 1)))
@@ -370,23 +364,25 @@ def _class_231_312(n: int) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_213_231(n: int) -> tuple[Perm, ...]:
-    # First ascending run: the r-1 smallest values then the maximum,
-    # followed by any member on the middle values.
-    if n == 0:
-        return ((),)
+def _class_213_312(n: int) -> tuple[Perm, ...]:
+    # Unimodal permutations, which rise to n and then fall: each is a member
+    # one shorter with n placed right before or right after n-1.
+    if n < 2:
+        return (tuple(range(1, n + 1)),)
     out = []
-    for r in range(1, n + 1):
-        run = tuple(range(1, r)) + (n,)
-        out.extend(run + _shift(rest, r - 1) for rest in _class_213_231(n - r))
+    for rest in _class_213_312(n - 1):
+        i = rest.index(n - 1)
+        head, tail = rest[:i], rest[i + 1:]
+        out.append(head + (n, n - 1) + tail)
+        out.append(head + (n - 1, n) + tail)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _class_213_312(n: int) -> tuple[Perm, ...]:
-    # Inverse respects containment, fixes 213 and exchanges 231 with 312, so
-    # it carries the ascending-run class Av(213, 231) onto Av(213, 312).
-    return tuple(map(inverse, _class_213_231(n)))
+def _class_213_231(n: int) -> tuple[Perm, ...]:
+    # Inverse respects containment, fixes 213 and exchanges 312 with 231, so
+    # it carries the unimodal class Av(213, 312) onto Av(213, 231).
+    return tuple(map(inverse, _class_213_312(n)))
 
 
 @lru_cache(maxsize=None)
@@ -449,6 +445,8 @@ def enumerate_class(pair: Pair, n: int) -> list[Perm]:
 
     Members are generated structurally for the canonical pair and carried
     over by the matching symmetry op; the result equals `filter_class`.
+    Av(213, 312) is the unimodal class, grown by placing n right before or
+    right after n - 1, and Av(213, 231) is its image under inverse.
 
     >>> enumerate_class(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]

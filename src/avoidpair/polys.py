@@ -55,6 +55,12 @@ _RENDER_ORDER = sorted(_INDEX.items())
 _JSON_KEYS = tuple(f'"{name}": ' for name in VARS)
 
 
+def _shift_of(name: str) -> int:
+    if name not in _SHIFT:
+        raise ValueError(f"unknown variable {name!r}; ring variables are {VARS}")
+    return _SHIFT[name]
+
+
 class ExponentOverflowError(ValueError):
     """An exponent would not fit its 64-bit field.
 
@@ -152,9 +158,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        if name not in _INDEX:
-            raise ValueError(f"unknown variable {name!r}; ring variables are {VARS}")
-        return cls._raw({1 << _SHIFT[name]: 1})
+        return cls._raw({1 << _shift_of(name): 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -171,7 +175,7 @@ class MultiPoly:
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of ``name``; -1 for the zero polynomial."""
-        shift = _SHIFT[name]
+        shift = _shift_of(name)
         return max((key >> shift & _FIELD_MAX for key in self._terms), default=-1)
 
     # -- ring arithmetic --------------------------------------------------
@@ -262,7 +266,7 @@ class MultiPoly:
         >>> print((p**2*y + 2*p*q*y*z + q**2*z).substitute_one("y").substitute_one("z"))
         p^2 + 2 p q + q^2
         """
-        keep = ~(_FIELD_MAX << _SHIFT[name])
+        keep = ~(_FIELD_MAX << _shift_of(name))
         terms: dict[int, int] = {}
         for key, coeff in self._terms.items():
             key &= keep
@@ -274,12 +278,11 @@ class MultiPoly:
         targets = list(mapping.values())
         if len(set(targets)) != len(targets):
             raise ValueError(f"renaming is not injective: {mapping!r}")
-        moves = [(_SHIFT[old], _SHIFT[new]) for old, new in mapping.items()]
-        keep = ~sum(_FIELD_MAX << _SHIFT[old] for old in mapping)
+        moves = [(_shift_of(old), _shift_of(new), new) for old, new in mapping.items()]
+        keep = ~sum(_FIELD_MAX << src for src, _, _ in moves)
         # a target that is not renamed itself keeps its own exponent, and the
         # moved one adds to it
-        merges = [(_SHIFT[old], _SHIFT[new], new) for old, new in mapping.items()
-                  if new not in mapping]
+        merges = [move for move in moves if move[2] not in mapping]
         terms: dict[int, int] = {}
         for key, coeff in self._terms.items():
             for src, dst, name in merges:
@@ -288,7 +291,7 @@ class MultiPoly:
                     raise ExponentOverflowError(
                         f"exponent {total} of {name} does not fit a 64-bit field")
             new = key & keep
-            for src, dst in moves:
+            for src, dst, _ in moves:
                 new += (key >> src & _FIELD_MAX) << dst
             terms[new] = terms.get(new, 0) + coeff
         return MultiPoly._raw(_nonzero(terms))

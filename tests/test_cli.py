@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from avoidpair import catalog, cli, verify
+from avoidpair import catalog, cli, perms, verify
 from avoidpair.bijections import LAYERED_PAIR, layered_compose
 from avoidpair.cli import main
 from avoidpair.oracle import brute_distribution
@@ -92,6 +92,22 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--pair", "123,321", "--n", str(n))
         assert code == 0 and out == "0\n"
 
+    @pytest.mark.parametrize("n, lengths", [
+        (13000, [13000]),  # past 3 * 4300 digits, below the probe length
+        (20000, [14286, 20000]),  # the probe at 2 ** 14285's length, then n
+    ])
+    def test_large_count_is_computed_once(self, capsys, monkeypatch, n, lengths):
+        calls = []
+
+        def counting(pair, length):
+            calls.append(length)
+            return perms.class_count(pair, length)
+
+        monkeypatch.setattr(cli, "class_count", counting)
+        code, out, _ = run_cli(capsys, "count", "--pair", "132,321", "--n", str(n))
+        assert code == 0 and out == f"{1 + math.comb(n, 2)}\n"
+        assert calls == lengths
+
 
 class TestLengthArguments:
     """--n and --n-max take ASCII digits only, as --perm does."""
@@ -144,6 +160,16 @@ class TestEnumerate:
             capsys, "enumerate", "--pair", "231,312", "--n", "2", "--format", "csv"
         )
         assert out == "perm\n1 2\n2 1\n"
+
+    @pytest.mark.parametrize("pair", ["213,231", "132,312", "213,312", "132,231"])
+    def test_n12_matches_its_pinned_digest(self, capsys, pair):
+        # the file is in `sha256sum -c` format: CI checks the installed
+        # console script's output against the same digests
+        text = (Path(__file__).parent / "data" / "enumerate_n12.sha256").read_text()
+        pinned = {name: digest for digest, name in (line.split("  ") for line in text.splitlines())}
+        code, out, err = run_cli(capsys, "enumerate", "--pair", pair, "--n", "12")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[f"enumerate_{pair}_n12.txt"]
 
 
 class TestStats:

@@ -310,11 +310,23 @@ class TestEnumeration:
             pattern_pair((1, 2, 3), (1, 3, 2)),
             pattern_pair((1, 3, 2), (3, 2, 1)),
             pattern_pair((1, 2, 3), (3, 2, 1)),
-            # derived from the ascending-run class by inverse, and its image
+            # the unimodal class, and its image
             pattern_pair((2, 1, 3), (3, 1, 2)),
             pattern_pair((1, 3, 2), (2, 3, 1)),
+            # derived from the unimodal class by inverse, and its image
+            pattern_pair((2, 1, 3), (2, 3, 1)),
+            pattern_pair((1, 3, 2), (3, 1, 2)),
         ):
             assert enumerate_class(pair, 7) == filter_class(pair, 7)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_213_312_members_rise_to_n_then_fall(self, n):
+        members = enumerate_class(pattern_pair((2, 1, 3), (3, 1, 2)), n)
+        assert len(set(members)) == 2 ** (n - 1)
+        for perm in members:
+            top = perm.index(n)
+            assert list(perm[:top + 1]) == sorted(perm[:top + 1]), perm
+            assert list(perm[top:]) == sorted(perm[top:], reverse=True), perm
 
     def test_avoidance_commutes_with_reverse(self):
         # pi avoids {tau, rho} iff reverse(pi) avoids the reversed pair

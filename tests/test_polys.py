@@ -359,6 +359,24 @@ class TestSubstituteAndRename:
         with pytest.raises(ValueError):
             (P + Q).rename({"p": "q", "q": "q"})
 
+    @pytest.mark.parametrize("call", [
+        lambda: (1 + X * P).substitute_one("w"),
+        lambda: MultiPoly.zero().substitute_one("w"),
+        lambda: (1 + X * P).rename({"w": "p"}),
+        lambda: (1 + X * P).rename({"p": "w"}),
+        lambda: (1 + X * P).degree_in("w"),
+        lambda: MultiPoly.zero().degree_in("w"),
+        lambda: RationalGF(MultiPoly.one(), 1 - X).substitute_one("y", "w"),
+        lambda: RationalGF(MultiPoly.one(), 1 - X).rename({"w": "p"}),
+        lambda: RationalGF(MultiPoly.one(), 1 - X).rename({"p": "w"}),
+    ], ids=["substitute_one", "substitute_one-zero", "rename-key", "rename-value",
+            "degree_in", "degree_in-zero", "gf-substitute_one", "gf-rename-key",
+            "gf-rename-value"])
+    def test_unknown_variable_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match=(
+                r"^unknown variable 'w'; ring variables are \('x', 'p', .*, 'z'\)$")):
+            call()
+
     def test_x_slices_roundtrip(self):
         poly = 1 - 2 * Q**2 * X**2 * Z + Q**4 * X**4 * Z**2
         slices = poly.x_slices()
