@@ -21,6 +21,11 @@ Two maps act on the cuts of a layered member:
   left-to-right maximum at position i.
 
 Both maps are defined for n >= 1 only; the empty permutation is rejected.
+Each map checks that its argument is a layered member, then calls its image
+function (``complement_image``, ``transfer_image``), which computes the
+image of a member already known to be one; :mod:`avoidpair.verify` calls
+the image functions on the class generator's members, which it never checks
+again.
 """
 
 from __future__ import annotations
@@ -95,10 +100,15 @@ def _member_cuts(perm: Perm, layered: bool) -> tuple[Perm, list[int]]:
     if not (type(perm) is tuple and {*map(type, perm)} <= {int}):
         perm = make_permutation(perm)
     n = len(perm)
-    cuts = list(compress(range(1, n), map(lt if layered else gt, perm, perm[1:])))
+    cuts = _cuts(perm, lt if layered else gt)
     if (_layered if layered else _runs)(cuts, n) != perm:
         _require_class(make_permutation(perm), LAYERED_PAIR if layered else RUN_PAIR)
     return perm, cuts
+
+
+def _cuts(perm: Perm, compare) -> list[int]:
+    """Each c in {1, ..., n-1} with ``compare(perm[c-1], perm[c])`` true."""
+    return list(compress(range(1, len(perm)), map(compare, perm, perm[1:])))
 
 
 def compositions(n: int):
@@ -178,6 +188,14 @@ def runs_decompose(perm: Perm) -> Composition:
     return _from_cuts(cuts, len(perm))
 
 
+def _map_argument(perm: Perm) -> Perm:
+    """A map's argument as a tuple, once it is known to be a layered member."""
+    if len(perm) == 0:
+        raise ValueError("map is defined for n >= 1 only")
+    member, _ = _member_cuts(perm, layered=True)
+    return member
+
+
 def complement_map(perm: Perm) -> Perm:
     """Involution on the layered class complementing the cut set.
 
@@ -189,11 +207,17 @@ def complement_map(perm: Perm) -> Perm:
     >>> complement_map((1, 2))
     (2, 1)
     """
-    if len(perm) == 0:
-        raise ValueError("map is defined for n >= 1 only")
-    perm, _ = _member_cuts(perm, layered=True)
-    n = len(perm)
-    return _layered(list(compress(range(1, n), map(gt, perm, perm[1:]))), n)
+    return complement_image(_map_argument(perm))
+
+
+def complement_image(member: Perm) -> Perm:
+    """``complement_map`` of a layered member given as a tuple, with no check.
+
+    The argument's descent positions are the image's cuts.  A caller that
+    does not already know the argument to be a layered member of length
+    n >= 1, as the class generator's members are, calls the map instead.
+    """
+    return _layered(_cuts(member, gt), len(member))
 
 
 def transfer_map(perm: Perm) -> Perm:
@@ -208,8 +232,14 @@ def transfer_map(perm: Perm) -> Perm:
     >>> transfer_map((1, 2))
     (2, 1)
     """
-    if len(perm) == 0:
-        raise ValueError("map is defined for n >= 1 only")
-    perm, cuts = _member_cuts(perm, layered=True)
-    n = len(perm)
-    return _runs([n - c for c in reversed(cuts)], n)
+    return transfer_image(_map_argument(perm))
+
+
+def transfer_image(member: Perm) -> Perm:
+    """``transfer_map`` of a layered member given as a tuple, with no check.
+
+    Each cut c of the argument (an ascent) becomes the image's cut n - c.
+    The same caveat as for :func:`complement_image` holds.
+    """
+    n = len(member)
+    return _runs([n - c for c in reversed(_cuts(member, lt))], n)

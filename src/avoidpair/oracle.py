@@ -12,7 +12,7 @@ from collections import Counter
 from operator import itemgetter
 
 from . import stats
-from .perms import Pair, enumerate_class
+from .perms import Pair, class_members
 from .polys import _FIELD_BITS, _FIELD_MAX, _LAYOUT, _SHIFT, _X_SHIFT, MultiPoly
 
 # Each statistic is marked by the same ring variable in every family that
@@ -33,14 +33,16 @@ _FAMILY_MASKS = {family: sum(_FIELD_MAX << _SHIFT[var] for var in markers.values
 def _joint_counts(pair: Pair, n: int, joint: dict | None) -> dict[int, int]:
     """Members of the class at length n counted by their eight-statistic key.
 
-    A key packs a member's eight statistics into the fields of their ring
+    Members are read in generation order, from
+    :func:`~avoidpair.perms.class_members`, since counting needs no sort.  A
+    key packs a member's eight statistics into the fields of their ring
     variables (one struct pack per distinct statistic vector).  ``joint``,
     when given, is a ``{(pair, n): counts}`` dict: a table found there is
     reused, and one computed here is stored there.
     """
     counts = None if joint is None else joint.get((pair, n))
     if counts is None:
-        vectors = Counter(map(stats.stat_vector, enumerate_class(pair, n)))
+        vectors = Counter(map(stats.stat_vector, class_members(pair, n)))
         counts = {int.from_bytes(_PACK_STATS(*_STATS_IN_FIELD_ORDER(vec)), "little"): count
                   for vec, count in vectors.items()}
         if joint is not None:

@@ -403,6 +403,34 @@ _CANONICAL_GENERATORS = {
 }
 
 
+def _canonical_at(pair: Pair, n: int) -> tuple[Pair, str]:
+    """``reduce_to_canonical(pair)``, once n is known to be a valid length.
+
+    Every class function validates its arguments here, so each rejects a
+    bad n or a bad pair at every length with the same error.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return reduce_to_canonical(pattern_pair(*pair))
+
+
+def class_members(pair: Pair, n: int) -> tuple[Perm, ...]:
+    """Every member at length n, in the order the canonical generator makes them.
+
+    For a canonical pair this is the generator's cached tuple itself; other
+    pairs map it through their symmetry op.  Callers that only count or
+    score members take this; `enumerate_class` sorts it.
+
+    >>> class_members(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
+    ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1))
+    """
+    canonical, op = _canonical_at(pair, n)
+    members = _CANONICAL_GENERATORS[canonical](n)
+    return members if op == "identity" else tuple(map(SYMMETRY_OPS[op], members))
+
+
 def class_size(pair: Pair, n: int) -> int:
     """Number of members at length n, equal to ``len(enumerate_class(pair, n))``.
 
@@ -412,9 +440,7 @@ def class_size(pair: Pair, n: int) -> int:
     >>> class_size(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
     4
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    canonical, _ = reduce_to_canonical(pattern_pair(*pair))
+    canonical, _ = _canonical_at(pair, n)
     return len(_CANONICAL_GENERATORS[canonical](n))
 
 
@@ -426,11 +452,9 @@ def class_count(pair: Pair, n: int) -> int:
     >>> class_count(pattern_pair((1, 3, 2), (3, 2, 1)), 5)
     11
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    canonical, _ = _canonical_at(pair, n)
     if n == 0:
         return 1
-    canonical, _ = reduce_to_canonical(pattern_pair(*pair))
     if canonical == FINITE_PAIR:
         if n >= 5:
             return 0
@@ -443,16 +467,13 @@ def class_count(pair: Pair, n: int) -> int:
 def enumerate_class(pair: Pair, n: int) -> list[Perm]:
     """Every member of S_n avoiding both patterns, in lexicographic order.
 
-    Members are generated structurally for the canonical pair and carried
-    over by the matching symmetry op; the result equals `filter_class`.
-    Av(213, 312) is the unimodal class, grown by placing n right before or
-    right after n - 1, and Av(213, 231) is its image under inverse.
+    This is `class_members` sorted.  Members are generated structurally for
+    the canonical pair and carried over by the matching symmetry op; the
+    result equals `filter_class`.  Av(213, 312) is the unimodal class, grown
+    by placing n right before or right after n - 1, and Av(213, 231) is its
+    image under inverse.
 
     >>> enumerate_class(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    canonical, op = reduce_to_canonical(pattern_pair(*pair))
-    members = _CANONICAL_GENERATORS[canonical](n)
-    return sorted(members if op == "identity" else map(SYMMETRY_OPS[op], members))
+    return sorted(class_members(pair, n))

@@ -5,17 +5,20 @@ the same polynomial summed over the enumerated class, and reports the first
 discrepancy if any.  Default ranges keep the whole suite at desk scale:
 counts to n = 12, family G to n = 10, family F to n = 9, maps to n = 12.
 
-Every check computes each class member's statistics once.  The oracle
+Every check computes each class member's statistics once, and no check
+validates a member that the class generator produced.  The oracle
 (:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts
-members by one packed key of all eight statistics and reads a family's
-marginal off those counts by masking the key; within one :func:`suite`
-call, families G and F share one such table per (pair, n).  The counts
-check takes class sizes from :func:`~avoidpair.perms.class_size` without
-carrying members over.  The map checks share one member-to-quadruple table
-per class and length, swap each distinct quadruple once, and map each
-member through its cut positions (see :mod:`avoidpair.bijections`), with
-no pattern search.  :func:`suite` lists the reports of one
-``avoidpair verify`` run for a scope.
+members in generation order by one packed key of all eight statistics and
+reads a family's marginal off those counts by masking the key; within one
+:func:`suite` call, families G and F share one such table per (pair, n).
+The counts check takes class sizes from :func:`~avoidpair.perms.class_size`
+without carrying members over.  The map checks walk each class in
+lexicographic order, so that a report names the first discrepant member;
+they share one member-to-quadruple table per class and length, swap each
+distinct quadruple once, and map each member with the maps' image
+functions (see :mod:`avoidpair.bijections`), which neither decode the
+member's cuts to check it nor search for a pattern.  :func:`suite` lists
+the reports of one ``avoidpair verify`` run for a scope.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable
 
 from . import SCOPES, catalog, stats
 from ._record import Record
-from .bijections import LAYERED_PAIR, RUN_PAIR, complement_map, transfer_map
+from .bijections import LAYERED_PAIR, RUN_PAIR, complement_image, transfer_image
 from .perms import (
     FINITE_PAIR,
     Pair,
@@ -169,10 +172,10 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
     _require_a_map_length(n_max)
     prefix_pair = pattern_pair((2, 1, 3), (3, 1, 2))
     checks = [
-        ("involution-swaps-quadruple", LAYERED_PAIR, complement_map, LAYERED_PAIR),
+        ("involution-swaps-quadruple", LAYERED_PAIR, complement_image, LAYERED_PAIR),
         ("complement-swaps-quadruple", RUN_PAIR, complement, RUN_PAIR),
         ("reverse-swaps-quadruple", prefix_pair, reverse, prefix_pair),
-        ("transfer-swaps-quadruple", LAYERED_PAIR, transfer_map, RUN_PAIR),
+        ("transfer-swaps-quadruple", LAYERED_PAIR, transfer_image, RUN_PAIR),
     ]
     cross_name = "cross-class-equidistribution"
     found = {}

@@ -10,6 +10,7 @@ from avoidpair.bijections import (
     LAYERED_PAIR,
     RUN_PAIR,
     NotInClassError,
+    complement_image,
     complement_map,
     compositions,
     layered_compose,
@@ -17,6 +18,7 @@ from avoidpair.bijections import (
     make_composition,
     runs_compose,
     runs_decompose,
+    transfer_image,
     transfer_map,
 )
 from avoidpair.perms import (
@@ -140,6 +142,14 @@ class TestRunCodec:
         for n in range(9):
             for perm in enumerate_class(RUN_PAIR, n):
                 assert runs_compose(runs_decompose(perm)) == perm
+
+
+class TestImageFunctions:
+    def test_each_map_is_its_image_function_on_every_member(self):
+        for n in range(1, 11):
+            for perm in enumerate_class(LAYERED_PAIR, n):
+                assert complement_map(perm) == complement_image(perm), perm
+                assert transfer_map(perm) == transfer_image(perm), perm
 
 
 class TestComplementMap:

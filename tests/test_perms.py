@@ -12,6 +12,8 @@ from avoidpair.perms import (
     all_pairs,
     all_perms,
     avoids_pair,
+    class_count,
+    class_members,
     class_size,
     complement,
     contains,
@@ -349,3 +351,36 @@ class TestClassSize:
         for pair in (CANONICAL_PAIRS[0], FINITE_PAIR):
             with pytest.raises(ValueError, match="n must be non-negative"):
                 class_size(pair, -1)
+
+
+class TestClassMembers:
+    def test_sorted_members_are_the_enumerated_class(self):
+        for pair in all_pairs():
+            for n in range(11):
+                members = class_members(pair, n)
+                assert sorted(members) == enumerate_class(pair, n), (pair, n)
+                assert len(set(members)) == len(members) == class_size(pair, n), (pair, n)
+
+    def test_a_canonical_pair_reads_the_cached_generator_tuple(self):
+        for pair in CANONICAL_PAIRS:
+            assert class_members(pair, 7) is class_members(pair, 7)
+
+
+CLASS_FUNCTIONS = (class_count, class_size, enumerate_class, class_members)
+
+
+class TestClassArguments:
+    @pytest.mark.parametrize("function", CLASS_FUNCTIONS)
+    @pytest.mark.parametrize("n", [0, 1, 4, 7])
+    def test_a_bad_pair_is_rejected_at_every_length(self, function, n):
+        with pytest.raises(ValueError, match="the two patterns must be distinct"):
+            function(((1, 2, 3), (1, 2, 3)), n)
+        with pytest.raises(ValueError, match="class-defining patterns must have length 3"):
+            function(((1, 2), (1, 3, 2)), n)
+
+    @pytest.mark.parametrize("function", CLASS_FUNCTIONS)
+    @pytest.mark.parametrize("n", [2.0, True, False, "3", None])
+    def test_a_length_that_is_not_an_int_is_rejected(self, function, n):
+        for pair in (CANONICAL_PAIRS[0], FINITE_PAIR):
+            with pytest.raises(ValueError, match="n must be an int, got"):
+                function(pair, n)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from avoidpair import catalog, stats, verify
+from avoidpair import bijections, catalog, oracle, perms, stats, verify
 from avoidpair.perms import FINITE_PAIR, all_pairs, enumerate_class, pattern_pair
 from avoidpair.polys import MultiPoly, RationalGF
 from avoidpair.verify import (
@@ -34,6 +34,24 @@ def monomial_sum(pair, n, family):
             )
         total = total + term
     return total
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap every module binding of each named function with a call counter."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        bindings = [m for m in (perms, bijections, oracle, verify) if hasattr(m, name)]
+        original = getattr(bindings[0], name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in bindings:
+            assert getattr(module, name) is original, (module, name)
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
 
 PAIR_231_312 = pattern_pair((2, 3, 1), (3, 1, 2))
 PAIR_213_231 = pattern_pair((2, 1, 3), (2, 3, 1))
@@ -194,8 +212,8 @@ class TestEquidistributionMaps:
 
     def test_broken_maps_are_reported_at_their_first_discrepancy(self, monkeypatch):
         # the identity does not swap the quadruple; reverse leaves the layered class
-        monkeypatch.setattr(verify, "transfer_map", lambda perm: perm)
-        monkeypatch.setattr(verify, "complement_map", lambda perm: perm[::-1])
+        monkeypatch.setattr(verify, "transfer_image", lambda perm: perm)
+        monkeypatch.setattr(verify, "complement_image", lambda perm: perm[::-1])
         reports = check_equidistribution_maps(6)
         assert [(r.name, r.status) for r in reports] == [
             ("involution-swaps-quadruple", "fail"),
@@ -219,13 +237,18 @@ class TestEquidistributionMaps:
 
     def test_a_repeated_image_is_not_fresh(self, monkeypatch):
         # every member goes to the decreasing permutation, a member of the target class
-        monkeypatch.setattr(verify, "transfer_map", lambda perm: tuple(range(len(perm), 0, -1)))
+        monkeypatch.setattr(verify, "transfer_image", lambda perm: tuple(range(len(perm), 0, -1)))
         reports = check_equidistribution_maps(6)
         assert [r.name for r in reports if not r.passed] == ["transfer-swaps-quadruple"]
         assert reports[3].first_discrepancy == {
             "n": 2, "perm": [2, 1], "image": [2, 1],
             "reason": "image is not a fresh member of the target class",
         }
+
+    def test_generated_members_are_neither_validated_nor_searched(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_member_cuts", "find_occurrence")
+        assert all_passed(check_equidistribution_maps(12))
+        assert calls == {"_member_cuts": 0, "find_occurrence": 0}
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_a_range_without_a_length_is_rejected(self, n_max):
@@ -253,6 +276,11 @@ class TestSuite:
         assert reports[29:] == suite("maps", 4)
         assert suite("counts", 4) == reports[:1]
         assert suite("gf", 4) == reports[1:29]
+
+    def test_the_gf_checks_count_members_without_sorting_them(self, monkeypatch):
+        calls = count_calls(monkeypatch, "enumerate_class")
+        assert all_passed(suite("gf"))
+        assert calls == {"enumerate_class": 0}
 
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError, match="unknown scope"):
