@@ -114,6 +114,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, by name, from the one parser ``_parser`` built."""
+    (sub,) = (action for action in _parser()._actions
+              if isinstance(action, argparse._SubParsersAction))
+    return sub.choices
+
+
 def _print_json_list(texts) -> None:
     """Print the JSON list of the items rendered as ``texts``, one item at a
     time, so no more than one item's text is held at once."""
@@ -279,7 +287,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser hands every word after the command to the
+    # command's parser, so that parser alone gives the same namespace.  Only
+    # leftover words, or an argv that names no command, need the top-level
+    # parser, and then it parses again so argparse writes the usage error or
+    # help itself.
+    command = _commands().get(argv[0]) if argv else None
+    if command:
+        args, rest = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if not command or rest:
+        args = _parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -68,8 +68,7 @@ def complement(perm: Perm) -> Perm:
     >>> complement((2, 3, 1))
     (2, 1, 3)
     """
-    n = len(perm)
-    return tuple(n + 1 - v for v in perm)
+    return tuple(map(sub, itertools.repeat(len(perm) + 1), perm))
 
 
 def reverse_complement(perm: Perm) -> Perm:
@@ -118,8 +117,8 @@ def _scan_occurrence(perm: Perm, patt: Perm) -> tuple[int, ...] | None:
         return None
     relations = [a < b for a, b in itertools.combinations(patt, 2)]
     subsets = zip(itertools.combinations(range(len(perm)), k), itertools.combinations(perm, k))
-    for positions, sub in subsets:
-        if [a < b for a, b in itertools.combinations(sub, 2)] == relations:
+    for positions, values in subsets:
+        if [a < b for a, b in itertools.combinations(values, 2)] == relations:
             return tuple(i + 1 for i in positions)
     return None
 
@@ -218,9 +217,9 @@ def parse_perm(text: str) -> Perm:
         # Words of ASCII digits only: int() alone would also take signs,
         # underscores and non-ASCII digits.  It still rejects a word longer
         # than Python converts.
-        if not (text.isascii() and all(word.isdigit() for word in words)):
+        if not (text.isascii() and all(map(str.isdigit, words))):
             raise ValueError
-        values = [int(word) for word in words]
+        values = list(map(int, words))
     except ValueError:
         raise ValueError(f"malformed permutation {text!r}") from None
     return make_permutation(values)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
@@ -392,7 +392,11 @@ class RationalGF(Record):
     factors, each with constant term 1, which :func:`expand` divides by one
     at a time.  It defaults to ``(den,)`` and takes no part in ``==``,
     ``hash`` or ``repr``: it is a way of computing with ``den``, not part of
-    the value.
+    the value.  Neither is the expansion plan that the first :func:`expand`
+    or :func:`coefficient` of a form builds and keeps on the instance (its
+    numerator's x-slices, each factor's negated terms by x-degree and the
+    largest exponent of each marker), so later expansions of the same form
+    do only the work that depends on their n.
 
     >>> x, q = MultiPoly.var("x"), MultiPoly.var("q")
     >>> gf = RationalGF(MultiPoly.one(), (1 - x) * (1 - q*x), (1 - x, 1 - q*x))
@@ -413,6 +417,27 @@ class RationalGF(Record):
             if math.prod(rest, start=first) != den:
                 raise ValueError("denominator factors do not multiply to the denominator")
         self._set(num=num, den=den, den_factors=den_factors or (den,))
+
+    @cached_property
+    def _plan(self) -> tuple:
+        # What every expansion of this form reads, whatever its n_max: the
+        # (num, den) degrees of each marker, the numerator's x-slices, and
+        # each stage's factor terms by x-degree.  cached_property writes the
+        # instance dict directly, past Record's read-only fields; a plan
+        # that raises is not kept, so it raises on every expansion.
+        degrees = [(a, b) for name, a, b in zip(
+            _LAYOUT, _field_maxima(self.num._terms), _field_maxima(self.den._terms))
+            if name != "x"]
+        num_slices = {j: slice_._terms for j, slice_ in self.num.x_slices().items()}
+        stages = []
+        for factor in self.den_factors:
+            slices = factor.x_slices()
+            if slices.pop(0, None) != MultiPoly.one():
+                raise ValueError("denominator must have x-free part exactly 1 for expansion")
+            # negated once here, so the recurrence adds every factor term
+            stages.append(sorted((j, [(e, -c) for e, c in slice_._terms.items()])
+                                 for j, slice_ in slices.items()))
+        return degrees, num_slices, stages
 
     def _image(self, image) -> "RationalGF":
         factors = self.den_factors
@@ -463,14 +488,15 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
 
     Coefficients are accumulated in dicts keyed by the ring's packed
     exponents (see :class:`MultiPoly`), so multiplying two monomials adds
-    their keys.  A stage stores its factor terms negated, as the terms of
-    -F_j, when it is built, so the recurrence only adds; a term whose
-    stored coefficient is +1 or -1 (every term of the layered G
+    their keys.  The slices N_k, and each stage's factor terms negated, as
+    the terms of -F_j, come from a plan that ``gf`` builds on its first
+    expansion and keeps for the later ones, so the recurrence only adds; a
+    term whose stored coefficient is +1 or -1 (every term of the layered G
     denominator, and most F-factor terms) adds or subtracts an earlier
-    output's coefficients without a multiply.  A stage's output holds a zero only where a term cancelled,
-    so it is filtered only then; it is already a coefficient's term dict,
-    and the last stage's outputs become the returned MultiPolys as they
-    are, with no unpacking and no copy.
+    output's coefficients without a multiply.  A stage's output holds a
+    zero only where a term cancelled, so it is filtered only then; it is
+    already a coefficient's term dict, and the last stage's outputs become
+    the returned MultiPolys as they are, with no unpacking and no copy.
 
     The ring's fields are 64 bits wide.  Before cancellation every term of
     a stage's k-th output is a term of num times at most k factor terms of
@@ -504,28 +530,19 @@ def coefficient(gf: RationalGF, n: int) -> MultiPoly:
 def _packed_series(gf: RationalGF, n_max: int):
     """The kernel of :func:`expand`: a generator of the term dicts of
     c_0..c_n_max.  Bad input raises here, before the generator computes
-    anything."""
+    anything.  Only the work that depends on ``n_max`` is done per call: the
+    form's plan (see :class:`RationalGF`) is built once, on its first
+    expansion."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    num_max = _field_maxima(gf.num._terms)
-    den_max = _field_maxima(gf.den._terms)
-    bound = max(num_max[i] + n_max * den_max[i]
-                for i, name in enumerate(_LAYOUT) if name != "x")
+    degrees, num_slices, factor_stages = gf._plan
+    bound = max(num_deg + n_max * den_deg for num_deg, den_deg in degrees)
     if bound.bit_length() + 1 > _FIELD_BITS:  # the guard bit
         raise ExponentOverflowError(
             f"marker exponents up to {bound} do not fit a 64-bit field")
-
-    num_slices = {j: slice_._terms for j, slice_ in gf.num.x_slices().items()}
     # One (factor terms by x-degree, last outputs) pair per stage.
-    stages = []
-    for factor in gf.den_factors:
-        slices = factor.x_slices()
-        if slices.pop(0, None) != MultiPoly.one():
-            raise ValueError("denominator must have x-free part exactly 1 for expansion")
-        # negated once here, so the recurrence adds every factor term
-        by_degree = sorted((j, [(e, -c) for e, c in slice_._terms.items()])
-                           for j, slice_ in slices.items())
-        stages.append((by_degree, deque(maxlen=by_degree[-1][0] if by_degree else 0)))
+    stages = [(by_degree, deque(maxlen=by_degree[-1][0] if by_degree else 0))
+              for by_degree in factor_stages]
 
     def coefficients():
         for k in range(n_max + 1):

@@ -1,5 +1,6 @@
 """CLI behaviour: output bytes in-process, exit codes end-to-end."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -528,6 +529,7 @@ class TestSharedParser:
         ("count", "--pair", "123,132", "--n", "10"),
         ("table", "--pair", "231,312", "--family", "G", "--n", "4", "--format", "json"),
         ("map", "--which", "f", "--perm", "1 3 2"),
+        ("count", "--pair", "123,132", "--n", "3", "extra"),
     ]
 
     def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
@@ -546,6 +548,117 @@ class TestSharedParser:
         assert run_cli(capsys, "count", "--pair", "123,132", "--n", "3") == (0, "4\n", "")
         monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
         assert run_cli(capsys, "count", "--pair", "123,132", "--n", "4") == (0, "8\n", "")
+
+
+class TestOneParse:
+    """main parses a request once, with its command's own parser, and gets
+    what one parse by the top-level parser gets: the same namespace, or the
+    same exit code, stdout and stderr."""
+
+    ARGVS = [
+        (),
+        ("--help",),
+        ("-h", "count"),
+        ("tabel",),
+        ("--pair", "123,132"),
+        ("count",),
+        ("count", "--pair", "123,132", "--n", "3"),
+        ("count", "--n", "3", "--pair", "123,132"),
+        ("count", "--pair=123,132", "--n=3"),
+        ("count", "--pa", "123,132", "--n", "3"),
+        ("count", "--pair", "123,132", "--n", "3", "extra"),
+        ("count", "--pair", "123,132", "--n", "3", "--bogus"),
+        ("count", "--pair", "123,132", "--n", "3", "--"),
+        ("count", "--", "--pair", "123,132", "--n", "3"),
+        ("count", "--pair", "123,132", "--n"),
+        ("count", "--pair", "1x3,132", "--n", "3"),
+        ("count", "--pair", "123,132", "--n", "+3"),
+        ("count", "-h"),
+        ("enumerate",),
+        ("enumerate", "--format", "csv", "--n", "4", "--pair", "132,213"),
+        ("enumerate", "--pair", "132,213", "--n", "4", "--form=json"),
+        ("enumerate", "--pair", "132,213", "--n", "4", "--format", "xml"),
+        ("enumerate", "--pair", "132,213", "--n", "4", "4"),
+        ("enumerate", "--help"),
+        ("stats",),
+        ("stats", "--perm", "2 1 3"),
+        ("stats", "--format", "json", "--perm=2 1 3"),
+        ("stats", "--perm", "1 1"),
+        ("stats", "--perm", "2 1 3", "2"),
+        ("stats", "--perm", "2 1 3", "-h"),
+        ("table",),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "4"),
+        ("table", "--fam", "G", "--n", "4", "--pair", "231,312", "--oracle"),
+        ("table", "--pair=231,312", "--family=F", "--n=4", "--format=csv"),
+        ("table", "--pair", "231,312", "--family", "H", "--n", "4"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "-1"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "4", "--oracle", "yes"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "4", "-x"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "4", "--", "--oracle"),
+        ("table", "-h"),
+        ("map",),
+        ("map", "--perm", "1 3 2", "--which", "g"),
+        ("map", "--which=f", "--perm=1 3 2"),
+        ("map", "--which", "h", "--perm", "1"),
+        ("map", "--which", "f"),
+        ("map", "--which", "f", "--perm", "1 3 2", "--which"),
+        ("map", "--help"),
+        ("verify",),
+        ("verify", "counts", "--n-max", "3"),
+        ("verify", "--n-max=3", "gf"),
+        ("verify", "--", "maps"),
+        ("verify", "bogus"),
+        ("verify", "counts", "gf"),
+        ("verify", "counts", "--n-max", "x"),
+        ("verify", "-h"),
+        ("catalog-dump",),
+        ("catalog-dump", "--format", "csv"),
+        ("catalog-dump", "--format"),
+        ("catalog-dump", "extra"),
+        ("catalog-dump", "-h"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, parse):
+        """What ``parse`` returned, or how it exited and what it wrote."""
+        try:
+            args = parse()
+        except SystemExit as exc:
+            return exc.code, *capsys.readouterr()
+        assert capsys.readouterr() == ("", "")
+        return args
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_matches_one_top_level_parse(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width help is wrapped to
+        expected = self.outcome(capsys, lambda: cli._parser().parse_args(argv))
+        seen = []
+        monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, seen.append))
+        got = self.outcome(capsys, lambda: main(list(argv)))
+        assert (seen[0] if seen else got) == expected
+
+    def test_a_well_formed_request_is_parsed_once(self, capsys, monkeypatch):
+        parses = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            parses.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run_cli(capsys, "count", "--pair", "123,132", "--n", "3") == (0, "4\n", "")
+        assert run_cli(capsys, "stats", "--perm", "2 1 3", "--format", "json")[0] == 0
+        assert parses == ["avoidpair count", "avoidpair stats"]
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["avoidpair", "count", "--pair", "123,132", "--n", "3"])
+        assert main() == 0 and capsys.readouterr() == ("4\n", "")
+        monkeypatch.setattr(sys, "argv", [*sys.argv, "extra"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "\navoidpair: error: unrecognized arguments: extra\n")
 
 
 class TestJsonItemByItem:

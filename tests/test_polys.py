@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avoidpair import polys
 from avoidpair.catalog import FAMILIES, FAMILY_MARKERS, gf_for
 from avoidpair.perms import FINITE_PAIR, all_pairs, format_pair, parse_pair
 from avoidpair.polys import (
@@ -712,3 +713,76 @@ class TestStagedKernel:
             coefficient(gf, 1)
         with pytest.raises(ValueError):
             coefficient(RationalGF(MultiPoly.one(), 1 - X), -1)
+
+
+class TestExpansionPlan:
+    """A form builds what its expansions share once and keeps it; each
+    expansion still checks its own n before computing any coefficient."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"_field_maxima": 0, "x_slices": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(polys, "_field_maxima", counted("_field_maxima", polys._field_maxima))
+        monkeypatch.setattr(MultiPoly, "x_slices", counted("x_slices", MultiPoly.x_slices))
+        return calls
+
+    @staticmethod
+    def staged_form():
+        return RationalGF(1 - Q * X, (1 - X) * (1 - Q * X) * (1 - P * X**2),
+                          (1 - X, 1 - Q * X, 1 - P * X**2))
+
+    @pytest.mark.parametrize("first", [expand, coefficient])
+    @pytest.mark.parametrize("second", [expand, coefficient])
+    def test_a_second_expansion_rebuilds_nothing(self, monkeypatch, first, second):
+        gf = self.staged_form()
+        reference = reference_expand(gf, 9)
+        calls = self.counting(monkeypatch)
+        first(gf, 4)
+        assert calls == {"_field_maxima": 2, "x_slices": 4}
+        calls.update(dict.fromkeys(calls, 0))
+        result = second(gf, 9)
+        assert calls == {"_field_maxima": 0, "x_slices": 0}
+        assert result == (reference if second is expand else reference.coeffs[9])
+
+    def test_a_plan_that_raises_is_not_kept(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        gf = RationalGF(MultiPoly.one(), (1 + V) * (1 - X), (1 + V, 1 - X))
+        messages = []
+        for expansion in (expand, coefficient, expand):
+            with pytest.raises(ValueError) as exc:
+                expansion(gf, 3)
+            messages.append(str(exc.value))
+        assert messages == ["denominator must have x-free part exactly 1 for expansion"] * 3
+        assert calls["x_slices"] == 3 * 2  # the numerator and the first factor, each time
+
+    def test_the_bound_is_checked_before_any_coefficient_once_planned(self, monkeypatch):
+        gf = RationalGF(MultiPoly.one(), 1 - Q**(2**61) * X)
+        assert coefficient(gf, 2) == Q**(2**62)
+        calls = self.counting(monkeypatch)
+        # the generator is never started: the bound is checked when it is made
+        with pytest.raises(ExponentOverflowError, match="64-bit field"):
+            polys._packed_series(gf, 4)
+        for expansion in (expand, coefficient):
+            with pytest.raises(ExponentOverflowError, match="64-bit field"):
+                expansion(gf, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            expand(gf, -1)
+        assert calls == {"_field_maxima": 0, "x_slices": 0}
+
+    def test_the_plan_is_not_part_of_the_value(self):
+        gf, fresh = self.staged_form(), self.staged_form()
+        before = (hash(gf), repr(gf))
+        expand(gf, 5)
+        assert "_plan" in vars(gf) and "_plan" not in vars(fresh)
+        assert gf == fresh and (hash(gf), repr(gf)) == before == (hash(fresh), repr(fresh))
+        with pytest.raises(AttributeError):
+            gf._plan = None
+        with pytest.raises(AttributeError):
+            del gf._plan
