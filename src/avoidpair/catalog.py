@@ -40,12 +40,6 @@ from .stats import FAMILIES, FAMILY_MARKERS, STAT_SWAPS, StatVector
 
 STAT_NAMES = StatVector._fields
 
-# marker variable carrying each statistic
-STAT_VAR = {**FAMILY_MARKERS["F"], **FAMILY_MARKERS["G"]}
-
-F_MARKERS = tuple(FAMILY_MARKERS["F"].values())
-G_MARKERS = tuple(FAMILY_MARKERS["G"].values())
-
 
 def _recipe(markers: dict[str, str], swaps) -> dict[str, str]:
     # Swapping the markers as the op swaps the statistics leaves at each

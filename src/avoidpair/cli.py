@@ -3,7 +3,11 @@
 Exit codes: 0 on success, 1 on data or verification failure or when the
 reader closes the output pipe early, 2 on usage errors (including a
 ``count`` too long to print and a ``table --n`` whose closed-form expansion
-cannot be packed).  All output is deterministic for fixed arguments.
+cannot be packed).  A handler only computes and prints; a request it
+rejects leaves it as a ``ValueError``, and :func:`main` alone maps that to
+its exit code (1 for ``NotInClassError`` and ``FiniteClassError``, 2 for any
+other) and one ``error:`` line on stderr.  All output is deterministic for
+fixed arguments.
 """
 
 from __future__ import annotations
@@ -158,9 +162,7 @@ def _cmd_count(args) -> int:
         bits = limit.bit_length()
         if ((args.n - 1 >= bits and class_count(args.pair, bits + 1) >= limit)
                 or (count := class_count(args.pair, args.n)) >= limit):
-            print(f"error: the count at n = {args.n} has more than {digits} digits",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"the count at n = {args.n} has more than {digits} digits")
     else:
         count = class_count(args.pair, args.n)
     print(count)
@@ -206,8 +208,7 @@ def _cmd_table(args) -> int:
             # work, then unpacks only the printed coefficient.
             poly = coefficient(gf, args.n)
         except ExponentOverflowError as exc:
-            print(f"error: table --n {args.n} is too large: {exc}", file=sys.stderr)
-            return 2
+            raise ExponentOverflowError(f"table --n {args.n} is too large: {exc}") from None
     if args.format == "json":
         from .polys import json_term_text
 
@@ -223,19 +224,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    if not args.perm:
-        print("error: map is defined for n >= 1 only", file=sys.stderr)
-        return 2
     print(format_perm(_MAPS[args.which](args.perm)))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.n_max == 0 and args.scope in ("all", "maps"):
-        # The maps are defined from n = 1, so their range would be empty.
-        print("error: the map checks start at n = 1; verify --n-max 0 runs only "
-              "with the counts or gf scope", file=sys.stderr)
-        return 2
     from . import verify
 
     reports = verify.suite(args.scope, args.n_max)
@@ -303,9 +296,9 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code
-    except (NotInClassError, FiniteClassError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (NotInClassError, FiniteClassError)) else 2
     except BrokenPipeError:
         # The reader closed the pipe.  Python flushes stdout again at exit,
         # so point it at devnull to keep that flush from raising too.

@@ -257,16 +257,16 @@ SYMMETRY_OPS: dict[str, Callable[[Perm], Perm]] = {
     "rc": reverse_complement,
 }
 
+FINITE_PAIR: Pair = pattern_pair((1, 2, 3), (3, 2, 1))
+
 CANONICAL_PAIRS: tuple[Pair, ...] = (
     pattern_pair((1, 2, 3), (1, 3, 2)),
     pattern_pair((1, 3, 2), (3, 2, 1)),
     pattern_pair((2, 3, 1), (3, 1, 2)),
     pattern_pair((2, 1, 3), (2, 3, 1)),
     pattern_pair((2, 1, 3), (3, 1, 2)),
-    pattern_pair((1, 2, 3), (3, 2, 1)),
+    FINITE_PAIR,
 )
-
-FINITE_PAIR: Pair = pattern_pair((1, 2, 3), (3, 2, 1))
 
 
 class FiniteClassError(ValueError):

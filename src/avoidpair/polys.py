@@ -55,10 +55,14 @@ _RENDER_ORDER = sorted(_INDEX.items())
 _JSON_KEYS = tuple(f'"{name}": ' for name in VARS)
 
 
-def _shift_of(name: str) -> int:
-    if name not in _SHIFT:
+def _known(name: str) -> str:
+    if name not in _INDEX:
         raise ValueError(f"unknown variable {name!r}; ring variables are {VARS}")
-    return _SHIFT[name]
+    return name
+
+
+def _shift_of(name: str) -> int:
+    return _SHIFT[_known(name)]
 
 
 class ExponentOverflowError(ValueError):
@@ -344,7 +348,7 @@ class MultiPoly:
         for item in data:
             exps = [0] * _NVARS
             for name, e in item["exponents"].items():
-                exps[_INDEX[name]] = int(e)
+                exps[_INDEX[_known(name)]] = int(e)
             exps = tuple(exps)
             terms[exps] = terms.get(exps, 0) + int(item["coeff"])
         return cls(terms)
@@ -385,8 +389,20 @@ def _monomial(exps: tuple) -> str:
     return " ".join(factors) or "1"
 
 
+def _part(value) -> MultiPoly:
+    """A form's part as a MultiPoly; an int is taken as MultiPoly arithmetic takes it."""
+    poly = MultiPoly._coerce(value)
+    if poly is NotImplemented:
+        raise ValueError(f"a RationalGF part must be a MultiPoly or an int, "
+                         f"not {type(value).__name__}")
+    return poly
+
+
 class RationalGF(Record):
     """Numerator/denominator pair; the denominator's constant term must be 1.
+
+    Each part is a :class:`MultiPoly` or an int, which is taken as the
+    constant polynomial, as in ``MultiPoly`` arithmetic.
 
     ``den_factors`` optionally records the denominator as a product of
     factors, each with constant term 1, which :func:`expand` divides by one
@@ -406,8 +422,10 @@ class RationalGF(Record):
 
     _compared = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly,
-                 den_factors: tuple[MultiPoly, ...] = ()):
+    def __init__(self, num: MultiPoly | int, den: MultiPoly | int,
+                 den_factors: tuple[MultiPoly | int, ...] = ()):
+        num, den = _part(num), _part(den)
+        den_factors = tuple(map(_part, den_factors))
         if den.constant_term() != 1:
             raise ValueError("denominator constant term must be 1")
         if den_factors:

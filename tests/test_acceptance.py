@@ -24,7 +24,7 @@ from avoidpair.perms import (
     reduce_to_canonical,
 )
 from avoidpair.polys import expand
-from avoidpair.stats import mna, mnd, stat_vector
+from avoidpair.stats import FAMILY_MARKERS, mna, mnd, stat_vector
 from avoidpair.verify import brute_distribution
 
 INFINITE_PAIRS = [pair for pair in all_pairs() if pair != FINITE_PAIR]
@@ -85,9 +85,9 @@ def test_criterion_4_corollary_specialization():
             if pair == FINITE_PAIR:
                 continue
             for stat in catalog.STAT_NAMES:
-                keep = catalog.STAT_VAR[stat]
-                family = "G" if keep in catalog.G_MARKERS else "F"
-                markers = catalog.G_MARKERS if family == "G" else catalog.F_MARKERS
+                family = "G" if stat in FAMILY_MARKERS["G"] else "F"
+                markers = FAMILY_MARKERS[family].values()
+                keep = FAMILY_MARKERS[family][stat]
                 drop = [m for m in markers if m != keep]
                 specialized = expand(catalog.gf_for(pair, family).substitute_one(*drop), 12)
                 entry = catalog.single_stat_entry(pair, stat)

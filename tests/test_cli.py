@@ -16,12 +16,13 @@ from pathlib import Path
 import pytest
 
 from avoidpair import catalog, cli, perms, verify
-from avoidpair.bijections import LAYERED_PAIR, layered_compose
+from avoidpair.bijections import LAYERED_PAIR, NotInClassError, layered_compose
 from avoidpair.cli import main
 from avoidpair.oracle import brute_distribution
 from avoidpair.perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
+    FiniteClassError,
     all_pairs,
     all_perms,
     avoids_pair,
@@ -449,7 +450,7 @@ class TestVerify:
             monkeypatch.setattr(verify, name, no_check)
         code, out, err = run_cli(capsys, "verify", *scope, "--n-max", "0")
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: the map checks start at n = 1, so n_max must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("scope, lines", [("counts", 1), ("gf", 28)])
     def test_scopes_without_maps_check_length_zero(self, capsys, scope, lines):
@@ -457,6 +458,33 @@ class TestVerify:
         reports = [json.loads(line) for line in out.splitlines()]
         assert (code, err, len(reports)) == (0, "", lines)
         assert all(r["n_range"] == [0, 0] and r["status"] == "pass" for r in reports)
+
+
+class TestOneErrorPath:
+    """main alone turns a request a handler rejects into its exit code and
+    one stderr line: 1 for a data error, 2 for any other ValueError."""
+
+    @pytest.mark.parametrize("command, name", [
+        (("count", "--pair", "123,132", "--n", "5"), "class_count"),
+        (("enumerate", "--pair", "231,312", "--n", "3"), "enumerate_class"),
+    ])
+    @pytest.mark.parametrize("error, code", [
+        (ValueError("boom"), 2),
+        (NotInClassError((2, 3, 1), (2, 3, 1), (1, 2, 3)), 1),
+        (FiniteClassError("boom"), 1),
+    ], ids=["ValueError", "NotInClassError", "FiniteClassError"])
+    def test_a_rejected_request_exits_with_its_code_and_one_line(
+            self, capsys, monkeypatch, command, name, error, code):
+        def reject(*args):
+            raise error
+
+        monkeypatch.setattr(cli, name, reject)
+        assert run_cli(capsys, *command) == (code, "", f"error: {error}\n")
+
+    def test_only_main_writes_an_error_line(self):
+        source = Path(cli.__file__).read_text()
+        assert source.count('print(f"error: ') == 1
+        assert "return 2" not in source
 
 
 class TestCatalogDump:

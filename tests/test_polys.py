@@ -370,9 +370,10 @@ class TestSubstituteAndRename:
         lambda: RationalGF(MultiPoly.one(), 1 - X).substitute_one("y", "w"),
         lambda: RationalGF(MultiPoly.one(), 1 - X).rename({"w": "p"}),
         lambda: RationalGF(MultiPoly.one(), 1 - X).rename({"p": "w"}),
+        lambda: MultiPoly.from_json_terms([{"exponents": {"w": 1}, "coeff": "1"}]),
     ], ids=["substitute_one", "substitute_one-zero", "rename-key", "rename-value",
             "degree_in", "degree_in-zero", "gf-substitute_one", "gf-rename-key",
-            "gf-rename-value"])
+            "gf-rename-value", "from_json_terms"])
     def test_unknown_variable_is_a_value_error(self, call):
         with pytest.raises(ValueError, match=(
                 r"^unknown variable 'w'; ring variables are \('x', 'p', .*, 'z'\)$")):
@@ -468,6 +469,20 @@ class TestExpand:
             # constant term is 1 but the x-free slice is not, so the
             # convolution recurrence does not apply
             expand(RationalGF(MultiPoly.one(), 1 + V - X), 3)
+
+    def test_int_parts_are_constant_polynomials(self):
+        assert RationalGF(1, 1 - X) == RationalGF(MultiPoly.one(), 1 - X)
+        assert list(expand(RationalGF(1, 1 - X), 3).coeffs) == [MultiPoly.one()] * 4
+        assert RationalGF(X, 1) == RationalGF(X, MultiPoly.one())
+        assert list(expand(RationalGF(X, 1), 2).coeffs) == [0, 1, 0]
+        assert RationalGF(X, 1 - X, (1, 1 - X)) == RationalGF(X, 1 - X)
+
+    @pytest.mark.parametrize("parts", [
+        (1.0, 1 - X), (X, True), ("1", 1 - X), (X, 1 - X, (None,)),
+    ], ids=["float-num", "bool-den", "str-num", "none-factor"])
+    def test_other_parts_are_rejected(self, parts):
+        with pytest.raises(ValueError, match="^a RationalGF part must be a MultiPoly or an int"):
+            RationalGF(*parts)
 
     def test_linearity_with_common_denominator(self):
         den = 1 - X - Q * X
