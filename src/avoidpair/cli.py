@@ -2,12 +2,17 @@
 
 Exit codes: 0 on success, 1 on data or verification failure or when the
 reader closes the output pipe early, 2 on usage errors (including a
-``count`` too long to print and a ``table --n`` whose closed-form expansion
-cannot be packed).  A handler only computes and prints; a request it
-rejects leaves it as a ``ValueError``, and :func:`main` alone maps that to
-its exit code (1 for ``NotInClassError`` and ``FiniteClassError``, 2 for any
-other) and one ``error:`` line on stderr.  All output is deterministic for
-fixed arguments.
+``count`` too long to print, a ``table --n`` whose closed-form expansion
+cannot be packed, and an ``enumerate``, ``table --oracle`` or ``verify
+--n-max`` past the length a class is enumerated to).  A handler only
+computes and prints; a request it rejects leaves it as a ``ValueError``, and
+:func:`main` alone maps that to its exit code (1 for ``NotInClassError`` and
+``FiniteClassError``, 2 for any other) and one ``error:`` line on stderr.
+All output is deterministic for fixed arguments.
+
+:func:`main` reads a canonically spelled request off its command parser's
+own actions, with no argparse parse (see :func:`_read_canonical`); every
+other argv goes to argparse, which writes every usage, help and error byte.
 """
 
 from __future__ import annotations
@@ -124,6 +129,77 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
     (sub,) = (action for action in _parser()._actions
               if isinstance(action, argparse._SubParsersAction))
     return sub.choices
+
+
+@functools.cache
+def _option_tables() -> dict[str, tuple[dict[str, argparse.Action], tuple, tuple]]:
+    """For each command that takes only ``store`` and ``store_true`` options
+    besides ``--help``: those options by their full option strings, all of
+    them, and the required ones."""
+    tables = {}
+    for name, parser in _commands().items():
+        actions = tuple(action for action in parser._actions
+                        if not isinstance(action, argparse._HelpAction))
+        if all(type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+               and action.option_strings for action in actions):
+            options = {string: action for action in actions for string in action.option_strings}
+            tables[name] = options, actions, tuple(a for a in actions if a.required)
+    return tables
+
+
+def _read_canonical(name: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace one argparse parse gives ``name``'s request ``words``
+    when they are canonically spelled, read off the command's own actions;
+    None for any other request, and for a command with a positional argument.
+
+    Canonical means: every word is one of the command's full option strings
+    or that option's value (a ``store_true`` option takes none); no option
+    appears twice; no value starts with ``-``; every required option is
+    present.  Only then is each value converted, by its action's ``type`` and
+    then checked against its ``choices``, and each absent option gets its
+    default, converted by ``type`` when it is a string, as argparse does.  A
+    value either step rejects is left for argparse to report.
+    """
+    table = _option_tables().get(name)
+    if table is None:
+        return None
+    options, actions, required = table
+    given = {}
+    words = iter(words)
+    for word in words:
+        action = options.get(word)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:
+            given[action] = action.const
+        else:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            given[action] = value
+    if not all(action in given for action in required):
+        return None
+    args = argparse.Namespace()
+    try:
+        for action in actions:
+            if action in given:
+                value = given[action]
+                if action.nargs != 0:
+                    if action.type is not None:
+                        value = action.type(value)
+                    if action.choices is not None and value not in action.choices:
+                        return None
+            elif action.default is argparse.SUPPRESS:
+                continue
+            else:
+                value = action.default
+                if isinstance(value, str) and action.type is not None:
+                    value = action.type(value)
+            setattr(args, action.dest, value)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    args.command = name
+    return args
 
 
 def _print_json_list(texts) -> None:
@@ -281,13 +357,16 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser hands every word after the command to the
-    # command's parser, so that parser alone gives the same namespace.  Only
-    # leftover words, or an argv that names no command, need the top-level
-    # parser, and then it parses again so argparse writes the usage error or
-    # help itself.
+    # A canonically spelled request is read off its command's actions with
+    # no parse.  Any other request naming a command is parsed by that
+    # command's parser: the top-level parser hands it every word after the
+    # command, so it alone gives the same namespace.  Only leftover words, or
+    # an argv that names no command, need the top-level parser, and then it
+    # parses again so argparse writes the usage error or help itself.
     command = _commands().get(argv[0]) if argv else None
-    if command:
+    args = _read_canonical(argv[0], argv[1:]) if command else None
+    rest = None
+    if command and args is None:
         args, rest = command.parse_known_args(argv[1:])
         args.command = argv[0]
     if not command or rest:

@@ -415,18 +415,29 @@ def _canonical_at(pair: Pair, n: int) -> tuple[Pair, str]:
     return reduce_to_canonical(pattern_pair(*pair))
 
 
+def _generated_at(pair: Pair, n: int) -> tuple[tuple[Perm, ...], str]:
+    """The canonical generator's members at length n, and the op carrying
+    them onto ``pair``'s class; ``ValueError`` past the class's length limit,
+    before any member is made."""
+    canonical, op = _canonical_at(pair, n)
+    if n > (limit := length_limits()[canonical]):
+        raise ValueError(f"the class of {format_pair(pattern_pair(*pair))} is enumerated "
+                         f"only up to n = {limit}, got n = {n}")
+    return _CANONICAL_GENERATORS[canonical](n), op
+
+
 def class_members(pair: Pair, n: int) -> tuple[Perm, ...]:
     """Every member at length n, in the order the canonical generator makes them.
 
     For a canonical pair this is the generator's cached tuple itself; other
     pairs map it through their symmetry op.  Callers that only count or
-    score members take this; `enumerate_class` sorts it.
+    score members take this; `enumerate_class` sorts it.  An n past the
+    class's entry in `length_limits` raises ``ValueError``.
 
     >>> class_members(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
     ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1))
     """
-    canonical, op = _canonical_at(pair, n)
-    members = _CANONICAL_GENERATORS[canonical](n)
+    members, op = _generated_at(pair, n)
     return members if op == "identity" else tuple(map(SYMMETRY_OPS[op], members))
 
 
@@ -435,12 +446,12 @@ def class_size(pair: Pair, n: int) -> int:
 
     Reverse and complement are injective, so the canonical generator's
     tuple already has the class's length; nothing is carried over or sorted.
+    It is bounded by `length_limits` as `class_members` is.
 
     >>> class_size(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
     4
     """
-    canonical, _ = _canonical_at(pair, n)
-    return len(_CANONICAL_GENERATORS[canonical](n))
+    return len(_generated_at(pair, n)[0])
 
 
 def class_count(pair: Pair, n: int) -> int:
@@ -451,7 +462,11 @@ def class_count(pair: Pair, n: int) -> int:
     >>> class_count(pattern_pair((1, 3, 2), (3, 2, 1)), 5)
     11
     """
-    canonical, _ = _canonical_at(pair, n)
+    return _canonical_count(_canonical_at(pair, n)[0], n)
+
+
+def _canonical_count(canonical: Pair, n: int) -> int:
+    """`class_count` for a canonical pair and an n already checked."""
     if n == 0:
         return 1
     if canonical == FINITE_PAIR:
@@ -461,6 +476,36 @@ def class_count(pair: Pair, n: int) -> int:
     if canonical == CANONICAL_PAIRS[1]:  # 132,321
         return 1 + math.comb(n, 2)
     return 2 ** (n - 1)
+
+
+# Each generator caches every length it has made, so making length n keeps
+# all members of lengths 1..n.  A class is enumerated only up to the longest
+# n whose cached entries, summed over those lengths, stay within this budget
+# (about 8 bytes each).
+_CACHED_ENTRIES_BUDGET = 1 << 23
+
+
+@lru_cache(maxsize=None)
+def length_limits() -> dict[Pair, int | float]:
+    """The longest length each canonical class is enumerated to.
+
+    18 for the four classes of size 2^(n-1), 90 for Av(132,321).  A class
+    empty at some length, Av(123,321) from n = 5 on, stays empty at every
+    longer one and has no limit.  Computed on first use, so a process that
+    enumerates nothing never computes it.
+    """
+    limits = {}
+    for canonical in CANONICAL_PAIRS:
+        n = entries = 0
+        while count := _canonical_count(canonical, n + 1):
+            entries += count * (n + 1)
+            if entries > _CACHED_ENTRIES_BUDGET:
+                break
+            n += 1
+        else:
+            n = math.inf
+        limits[canonical] = n
+    return limits
 
 
 def enumerate_class(pair: Pair, n: int) -> list[Perm]:

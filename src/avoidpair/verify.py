@@ -39,6 +39,7 @@ from .perms import (
     complement,
     enumerate_class,
     format_pair,
+    length_limits,
     pattern_pair,
     reverse,
 )
@@ -214,7 +215,9 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     """The reports of one ``avoidpair verify`` run, in the order it prints them.
 
     ``scope`` is one of :data:`SCOPES`; ``n_max``, when
-    given, replaces every default range.  ``all`` is the counts check, then
+    given, replaces every default range, and is checked before any check
+    runs: at most the lowest of :func:`~avoidpair.perms.length_limits` (18),
+    and at least 1 when the maps run.  ``all`` is the counts check, then
     family G and family F over the 14 infinite pairs, then the five maps.
     """
     if scope not in SCOPES:
@@ -223,9 +226,13 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     def upto(default: int) -> int:
         return default if n_max is None else n_max
 
+    # before any check runs, so a bad range throws no work away; every scope
+    # enumerates a class of size 2^(n-1), which has the lowest length limit
     if scope in ("all", "maps"):
-        # before any check runs, so a bad map range throws no work away
         _require_a_map_length(upto(DEFAULT_N_MAPS))
+    if n_max is not None and n_max > (limit := min(length_limits().values())):
+        raise ValueError(f"the checks enumerate classes only up to n = {limit}, "
+                         f"so n_max must be at most {limit}, got {n_max}")
     reports = []
     if scope in ("all", "counts"):
         reports.append(check_counts(upto(DEFAULT_N_COUNTS)))

@@ -8,12 +8,16 @@ import itertools
 import json
 import math
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avoidpair import catalog, cli, perms, verify
 from avoidpair.bijections import LAYERED_PAIR, NotInClassError, layered_compose
@@ -579,9 +583,11 @@ class TestSharedParser:
 
 
 class TestOneParse:
-    """main parses a request once, with its command's own parser, and gets
-    what one parse by the top-level parser gets: the same namespace, or the
-    same exit code, stdout and stderr."""
+    """main reads a canonically spelled request off its command's own
+    actions, with no argparse parse, and parses any other once, with its
+    command's own parser; either way it gets what one parse by the top-level
+    parser gets: the same namespace, or the same exit code, stdout and
+    stderr."""
 
     ARGVS = [
         (),
@@ -676,7 +682,9 @@ class TestOneParse:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         assert run_cli(capsys, "count", "--pair", "123,132", "--n", "3") == (0, "4\n", "")
         assert run_cli(capsys, "stats", "--perm", "2 1 3", "--format", "json")[0] == 0
-        assert parses == ["avoidpair count", "avoidpair stats"]
+        assert parses == []
+        assert run_cli(capsys, "count", "--pa", "123,132", "--n", "3") == (0, "4\n", "")
+        assert parses == ["avoidpair count"]
 
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["avoidpair", "count", "--pair", "123,132", "--n", "3"])
@@ -687,6 +695,139 @@ class TestOneParse:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(
             "\navoidpair: error: unrecognized arguments: extra\n")
+
+
+# --n and --n-max values: every short length, each class's first length past
+# its enumeration limit, and lengths far past every limit.
+LENGTHS = [str(n) for n in range(9)] + sorted(
+    {str(limit + 1) for limit in perms.length_limits().values() if limit != math.inf},
+    key=int) + ["1500", str(10 ** 19)]
+# Closed-form table expands every length up to n, so it keeps to short ones
+# and to one too large to pack, which is refused before any work.
+TABLE_LENGTHS = LENGTHS[:9] + [str(10 ** 19)]
+MALFORMED_LENGTHS = ["+3", "-1", "x", " 3 ", "\u0665"]
+# Each option's well-formed values, then its malformed ones.
+VALUES = {
+    "--pair": (["231,312", "132,213", "132,321", "123,321", "213,231", "123,132"],
+               ["1x3,132", "123,123", "", "-123,132"]),
+    "--n": (LENGTHS, MALFORMED_LENGTHS),
+    "--n-max": (LENGTHS, MALFORMED_LENGTHS),
+    "--format": (cli.FORMATS, ["xml"]),
+    "--family": (["F", "G"], ["H"]),
+    "--perm": (["2 1 3", "1 3 2", "3 2 1 4", "2 3 1", ""], ["1 1", "x", "-1 2"]),
+    "--which": (["f", "g"], ["h"]),
+}
+
+
+@st.composite
+def requests(draw):
+    """An argv for any command: each option spelled in full, as
+    ``--opt=value`` or abbreviated, sometimes with a required option left
+    out, ``--``, ``-h``, a duplicate or a leftover word added."""
+    command = draw(st.sampled_from([*cli._commands(), "tabel", None]))
+    if command is None:
+        return []
+    if command not in cli._commands():
+        return [command]
+    options = [action for action in cli._commands()[command]._actions
+               if action.option_strings and not isinstance(action, argparse._HelpAction)]
+    # verify without --n-max runs the whole default suite
+    chosen = [action for action in options if action.required or action.dest == "n_max"
+              or draw(st.booleans())]
+    if chosen and draw(st.integers(0, 9)) == 0:
+        chosen.remove(draw(st.sampled_from(chosen)))
+    oracle = any(action.dest == "oracle" for action in chosen)
+
+    def spell(action, odds=7):
+        name = action.option_strings[0]
+        good, bad = VALUES.get(name, ((), ()))
+        if name == "--n" and command == "table" and not oracle:
+            good = TABLE_LENGTHS
+        value = None if action.nargs == 0 else draw(
+            st.sampled_from(good if draw(st.integers(0, odds)) else bad))
+        spelling = draw(st.sampled_from(["full"] * 10 + ["equals", "abbreviated"]))
+        if spelling == "equals":
+            return [f"{name}={'yes' if value is None else value}"]
+        if spelling == "abbreviated":
+            name = name[:draw(st.integers(3, max(3, len(name) - 1)))]
+        return [name] if value is None else [name, value]
+
+    groups = [spell(action) for action in chosen]
+    if command == "verify" and draw(st.booleans()):
+        groups.append([draw(st.sampled_from(["all", "counts", "gf", "maps", "bogus"]))])
+    groups = draw(st.permutations(groups))
+    extra = draw(st.sampled_from([None] * 12 + ["--", "-h", "extra"] + ["duplicate"] * 3))
+    if extra == "duplicate" and chosen:
+        # malformed as often as not: argparse converts every copy
+        groups.insert(draw(st.integers(0, len(groups))),
+                      spell(draw(st.sampled_from(chosen)), odds=1))
+    elif extra in ("--", "-h", "extra"):
+        groups.insert(draw(st.integers(0, len(groups))), [extra])
+    return [command, *itertools.chain.from_iterable(groups)]
+
+
+def captured(call):
+    """What ``call`` returned, or how it exited, with what it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestRequestContract:
+    """Over argv drawn from every command and flag, main parses as argparse
+    does and every request ends with exit 0, 1 or 2, never a traceback, and
+    a rejected one with exactly one ``error:`` line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(requests())
+    def test_parse_and_exit_code(self, argv):
+        parsed, *written = captured(lambda: cli._parser().parse_args(argv))
+        seen = []
+        with mock.patch.object(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, seen.append)):
+            got, *got_written = captured(lambda: main(argv))
+        if isinstance(parsed, SystemExit):
+            assert (got.code, got_written) == (parsed.code, written)
+        else:
+            assert seen == [parsed] and written == ["", ""]
+
+        result, out, err = captured(lambda: main(argv))
+        code = result.code if isinstance(result, SystemExit) else result
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        else:
+            assert [line for line in err.splitlines() if "error: " in line] == [
+                err.splitlines()[-1]]
+            if not isinstance(result, SystemExit):
+                assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestBoundedEndToEnd:
+    """A length past the enumeration limit exits 2 with one stderr line,
+    before any work, even in a child whose address space is capped."""
+
+    @staticmethod
+    def cap_address_space():
+        limit = 512 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--pair", "231,312", "--n", "1500"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "1500", "--oracle"),
+        ("verify", "maps", "--n-max", "40"),
+        ("enumerate", "--pair", "132,321", "--n", "10000"),
+    ], ids=" ".join)
+    def test_exits_2_with_one_line(self, argv):
+        result = subprocess.run([sys.executable, "-m", "avoidpair", *argv],
+                                capture_output=True, text=True, timeout=30,
+                                preexec_fn=self.cap_address_space)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
 
 
 class TestJsonItemByItem:

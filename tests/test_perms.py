@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -384,3 +385,41 @@ class TestClassArguments:
         for pair in (CANONICAL_PAIRS[0], FINITE_PAIR):
             with pytest.raises(ValueError, match="n must be an int, got"):
                 function(pair, n)
+
+
+class TestLengthLimits:
+    """class_members and class_size bound n by what the generator would cache."""
+
+    @staticmethod
+    def cached_entries(pair, n):
+        return sum(class_count(pair, m) * m for m in range(n + 1))
+
+    def test_each_limit_is_the_longest_length_within_the_budget(self):
+        limits = perms.length_limits()
+        assert [limits[pair] for pair in CANONICAL_PAIRS] == [18, 90, 18, 18, 18, math.inf]
+        for pair in CANONICAL_PAIRS[:5]:
+            entries = self.cached_entries(pair, limits[pair])
+            assert entries <= perms._CACHED_ENTRIES_BUDGET, pair
+            assert self.cached_entries(pair, limits[pair] + 1) > perms._CACHED_ENTRIES_BUDGET, pair
+
+    @pytest.mark.parametrize("function", [class_members, class_size, enumerate_class])
+    def test_a_length_past_the_limit_is_rejected_before_any_member_is_made(
+            self, monkeypatch, function):
+        generators = {pair: pytest.fail for pair in CANONICAL_PAIRS[:5]}
+        monkeypatch.setattr(perms, "_CANONICAL_GENERATORS", generators)
+        for pair in all_pairs():
+            if pair == FINITE_PAIR:
+                continue
+            limit = perms.length_limits()[reduce_to_canonical(pair)[0]]
+            for n in (limit + 1, 1500, 10 ** 19):
+                with pytest.raises(ValueError, match=(
+                        f"^the class of {format_pair(pair)} is enumerated only up to "
+                        f"n = {limit}, got n = {n}$")):
+                    function(pair, n)
+
+    def test_the_finite_class_has_no_limit(self):
+        assert class_members(FINITE_PAIR, 10 ** 19) == ()
+        assert class_size(FINITE_PAIR, 10 ** 19) == 0
+
+    def test_count_has_no_limit(self):
+        assert class_count(CANONICAL_PAIRS[0], 1500) == 2 ** 1499

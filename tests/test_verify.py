@@ -296,6 +296,18 @@ class TestSuite:
         with pytest.raises(ValueError, match="n_max must be at least 1, got 0"):
             suite(scope, 0)
 
+    @pytest.mark.parametrize("scope", ["all", "counts", "gf", "maps"])
+    @pytest.mark.parametrize("n_max", [19, 40, 10 ** 19])
+    def test_a_range_past_the_enumeration_limit_is_rejected_before_any_check(
+            self, monkeypatch, scope, n_max):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before the range was rejected")
+
+        for name in ("check_counts", "check_gf", "check_equidistribution_maps"):
+            monkeypatch.setattr(verify, name, must_not_run)
+        with pytest.raises(ValueError, match=f"n_max must be at most 18, got {n_max}$"):
+            suite(scope, n_max)
+
 
 class TestDefaultSuite:
     def test_everything_passes(self):
