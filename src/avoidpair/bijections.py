@@ -112,9 +112,16 @@ def _cuts(perm: Perm, compare) -> list[int]:
 
 
 def compositions(n: int):
-    """All 2^(n-1) compositions of n, via the cut sets in {1, ..., n-1}."""
-    for mask in range(1 << max(n - 1, 0)):
-        yield _from_cuts([i + 1 for i in range(n - 1) if mask >> i & 1], n)
+    """All 2^(n-1) compositions of n, via the cut sets in {1, ..., n-1}.
+
+    A bad n raises here, before the generator yields anything.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return (_from_cuts([i + 1 for i in range(n - 1) if mask >> i & 1], n)
+            for mask in range(1 << max(n - 1, 0)))
 
 
 def _cuts_of(comp: Composition) -> tuple[list[int], int]:

@@ -10,9 +10,11 @@ computes and prints; a request it rejects leaves it as a ``ValueError``, and
 ``FiniteClassError``, 2 for any other) and one ``error:`` line on stderr.
 All output is deterministic for fixed arguments.
 
-:func:`main` reads a canonically spelled request off its command parser's
-own actions, with no argparse parse (see :func:`_read_canonical`); every
-other argv goes to argparse, which writes every usage, help and error byte.
+:func:`main` gets each request's namespace in one of two ways: it reads a
+canonically spelled request off its command parser's own actions, with no
+argparse parse (see :func:`_read_canonical`), or it parses any other argv
+once with the top-level parser, so argparse writes every usage, help and
+error byte.
 """
 
 from __future__ import annotations
@@ -131,44 +133,31 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
     return sub.choices
 
 
-@functools.cache
-def _option_tables() -> dict[str, tuple[dict[str, argparse.Action], tuple, tuple]]:
-    """For each command that takes only ``store`` and ``store_true`` options
-    besides ``--help``: those options by their full option strings, all of
-    them, and the required ones."""
-    tables = {}
-    for name, parser in _commands().items():
-        actions = tuple(action for action in parser._actions
-                        if not isinstance(action, argparse._HelpAction))
-        if all(type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
-               and action.option_strings for action in actions):
-            options = {string: action for action in actions for string in action.option_strings}
-            tables[name] = options, actions, tuple(a for a in actions if a.required)
-    return tables
+def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace one argparse parse gives ``argv`` when it is a
+    canonically spelled request, read off its command parser's own actions;
+    None for any other argv.
 
-
-def _read_canonical(name: str, words: list[str]) -> argparse.Namespace | None:
-    """The namespace one argparse parse gives ``name``'s request ``words``
-    when they are canonically spelled, read off the command's own actions;
-    None for any other request, and for a command with a positional argument.
-
-    Canonical means: every word is one of the command's full option strings
+    Canonical means: the first word names a command; every other word is one
+    of that command's full option strings, other than ``-h`` and ``--help``,
     or that option's value (a ``store_true`` option takes none); no option
     appears twice; no value starts with ``-``; every required option is
     present.  Only then is each value converted, by its action's ``type`` and
-    then checked against its ``choices``, and each absent option gets its
-    default, converted by ``type`` when it is a string, as argparse does.  A
-    value either step rejects is left for argparse to report.
+    then checked against its ``choices``, and each absent action gets its
+    default.  A value either step rejects is left for argparse to report.
     """
-    table = _option_tables().get(name)
-    if table is None:
+    parser = _commands().get(argv[0]) if argv else None
+    if parser is None:
         return None
-    options, actions, required = table
+    # argparse adds the help action first; it is the only action with a
+    # SUPPRESS default, and no action has both a string default and a type,
+    # so every other absent action's default is its value as it stands.
+    help_action, *actions = parser._actions
     given = {}
-    words = iter(words)
+    words = iter(argv[1:])
     for word in words:
-        action = options.get(word)
-        if action is None or action in given:
+        action = parser._option_string_actions.get(word)
+        if action is None or action is help_action or action in given:
             return None
         if action.nargs == 0:
             given[action] = action.const
@@ -177,8 +166,6 @@ def _read_canonical(name: str, words: list[str]) -> argparse.Namespace | None:
             if value.startswith("-"):
                 return None
             given[action] = value
-    if not all(action in given for action in required):
-        return None
     args = argparse.Namespace()
     try:
         for action in actions:
@@ -189,16 +176,14 @@ def _read_canonical(name: str, words: list[str]) -> argparse.Namespace | None:
                         value = action.type(value)
                     if action.choices is not None and value not in action.choices:
                         return None
-            elif action.default is argparse.SUPPRESS:
-                continue
+            elif action.required:
+                return None
             else:
                 value = action.default
-                if isinstance(value, str) and action.type is not None:
-                    value = action.type(value)
             setattr(args, action.dest, value)
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
-    args.command = name
+    args.command = argv[0]
     return args
 
 
@@ -358,18 +343,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A canonically spelled request is read off its command's actions with
-    # no parse.  Any other request naming a command is parsed by that
-    # command's parser: the top-level parser hands it every word after the
-    # command, so it alone gives the same namespace.  Only leftover words, or
-    # an argv that names no command, need the top-level parser, and then it
-    # parses again so argparse writes the usage error or help itself.
-    command = _commands().get(argv[0]) if argv else None
-    args = _read_canonical(argv[0], argv[1:]) if command else None
-    rest = None
-    if command and args is None:
-        args, rest = command.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if not command or rest:
+    # no parse.  Any other is parsed once, by the top-level parser, which
+    # writes every usage error and help text itself.
+    args = _read_canonical(argv)
+    if args is None:
         args = _parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)

@@ -239,7 +239,11 @@ def format_pair(pair: Pair) -> str:
     return f"{format_pattern(pair[0])},{format_pattern(pair[1])}"
 
 
+@lru_cache(maxsize=None)
 def parse_pair(text: str) -> Pair:
+    # Cached: every CLI request that names a pair parses it, and only the 30
+    # spellings of the 15 pairs are valid; a rejected text raises, so it is
+    # never stored.
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"malformed pattern pair {text!r}; expected e.g. '231,312'")

@@ -551,6 +551,8 @@ def _packed_series(gf: RationalGF, n_max: int):
     anything.  Only the work that depends on ``n_max`` is done per call: the
     form's plan (see :class:`RationalGF`) is built once, on its first
     expansion."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     degrees, num_slices, factor_stages = gf._plan

@@ -115,8 +115,14 @@ def check_gf(pair: Pair, family: str, n_max: int, gf=None, *,
     return _report("gf-vs-enumeration", pair, family, (0, n_max))
 
 
+def _require_an_int(n_max) -> None:
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
+
+
 def check_counts(n_max: int = DEFAULT_N_COUNTS) -> VerifyReport:
     """Enumerated class sizes vs the closed-form counts, all 15 pairs, n = 0..n_max."""
+    _require_an_int(n_max)
     if n_max < 0:
         raise ValueError(f"the counts check needs n_max >= 0, got {n_max}")
     for pair in all_pairs():
@@ -150,6 +156,7 @@ def _quadruples(pair: Pair, n: int, distinct: dict) -> dict:
 
 
 def _require_a_map_length(n_max: int) -> None:
+    _require_an_int(n_max)
     if n_max < 1:
         raise ValueError("the map checks start at n = 1, so n_max must be at least 1, "
                          f"got {n_max}")
@@ -216,9 +223,10 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
 
     ``scope`` is one of :data:`SCOPES`; ``n_max``, when
     given, replaces every default range, and is checked before any check
-    runs: at most the lowest of :func:`~avoidpair.perms.length_limits` (18),
-    and at least 1 when the maps run.  ``all`` is the counts check, then
-    family G and family F over the 14 infinite pairs, then the five maps.
+    runs: an int and not a bool, at most the lowest of
+    :func:`~avoidpair.perms.length_limits` (18), and at least 1 when the
+    maps run.  ``all`` is the counts check, then family G and family F over
+    the 14 infinite pairs, then the five maps.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
@@ -228,11 +236,13 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
 
     # before any check runs, so a bad range throws no work away; every scope
     # enumerates a class of size 2^(n-1), which has the lowest length limit
+    if n_max is not None:
+        _require_an_int(n_max)
+        if n_max > (limit := min(length_limits().values())):
+            raise ValueError(f"the checks enumerate classes only up to n = {limit}, "
+                             f"so n_max must be at most {limit}, got {n_max}")
     if scope in ("all", "maps"):
         _require_a_map_length(upto(DEFAULT_N_MAPS))
-    if n_max is not None and n_max > (limit := min(length_limits().values())):
-        raise ValueError(f"the checks enumerate classes only up to n = {limit}, "
-                         f"so n_max must be at most {limit}, got {n_max}")
     reports = []
     if scope in ("all", "counts"):
         reports.append(check_counts(upto(DEFAULT_N_COUNTS)))

@@ -59,6 +59,15 @@ class TestCompositions:
         assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
         assert sum(1 for _ in compositions(9)) == 2**8
 
+    @pytest.mark.parametrize("n, message", [
+        (-1, "n must be non-negative, got -1"), (-2, "n must be non-negative, got -2"),
+        (True, "n must be an int, got True"), (2.5, "n must be an int, got 2.5"),
+        ("3", "n must be an int, got '3'"),
+    ])
+    def test_rejects_a_bad_length_before_yielding(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compositions(n)
+
     def test_rejects_non_positive_parts(self):
         with pytest.raises(ValueError):
             make_composition((2, 0, 1))

@@ -584,8 +584,8 @@ class TestSharedParser:
 
 class TestOneParse:
     """main reads a canonically spelled request off its command's own
-    actions, with no argparse parse, and parses any other once, with its
-    command's own parser; either way it gets what one parse by the top-level
+    actions, with no argparse parse, and parses any other once, with the
+    top-level parser; either way it gets what one parse by the top-level
     parser gets: the same namespace, or the same exit code, stdout and
     stderr."""
 
@@ -638,6 +638,11 @@ class TestOneParse:
         ("map", "--which", "f", "--perm", "1 3 2", "--which"),
         ("map", "--help"),
         ("verify",),
+        ("verify", "--n-max", "3"),
+        ("verify", "--n-max", "3", "--n-max", "4"),
+        ("verify", "--n-max", "x", "--n-max", "3"),
+        ("verify", "--n-max", "-1"),
+        ("verify", "--n-max", "3", "-h"),
         ("verify", "counts", "--n-max", "3"),
         ("verify", "--n-max=3", "gf"),
         ("verify", "--", "maps"),
@@ -671,6 +676,15 @@ class TestOneParse:
         got = self.outcome(capsys, lambda: main(list(argv)))
         assert (seen[0] if seen else got) == expected
 
+    def test_every_absent_action_takes_its_default_as_it_stands(self):
+        # what the canonical reader assumes of the command parsers' actions
+        for parser in cli._commands().values():
+            help_action, *actions = parser._actions
+            assert isinstance(help_action, argparse._HelpAction)
+            for action in actions:
+                assert action.default is not argparse.SUPPRESS
+                assert not (isinstance(action.default, str) and action.type is not None)
+
     def test_a_well_formed_request_is_parsed_once(self, capsys, monkeypatch):
         parses = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -682,9 +696,11 @@ class TestOneParse:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         assert run_cli(capsys, "count", "--pair", "123,132", "--n", "3") == (0, "4\n", "")
         assert run_cli(capsys, "stats", "--perm", "2 1 3", "--format", "json")[0] == 0
+        assert run_cli(capsys, "verify")[0] == 0
+        assert run_cli(capsys, "verify", "--n-max", "3")[0] == 0
         assert parses == []
         assert run_cli(capsys, "count", "--pa", "123,132", "--n", "3") == (0, "4\n", "")
-        assert parses == ["avoidpair count"]
+        assert parses == ["avoidpair", "avoidpair count"]
 
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["avoidpair", "count", "--pair", "123,132", "--n", "3"])

@@ -132,6 +132,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             parse_pattern("2a1")
 
+    def test_parse_pair_caches_only_the_valid_spellings(self):
+        spellings = [",".join(map(perms.format_pattern, patterns))
+                     for pair in all_pairs() for patterns in (pair, pair[::-1])]
+        rejected = ["231", "231,23", "2a1,312", "231,231", "12,21", "", "231,312,123"]
+        parse_pair.cache_clear()
+        for text in spellings + rejected + spellings + rejected:
+            try:
+                got = parse_pair(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as uncached:
+                    parse_pair.__wrapped__(text)
+                assert text in rejected and str(exc) == str(uncached.value)
+            else:
+                assert text in spellings and got == parse_pair.__wrapped__(text)
+        assert parse_pair.cache_info().currsize == len(spellings) == 30
+
     def test_pattern_pair_is_unordered_and_distinct(self):
         assert pattern_pair((3, 1, 2), (2, 3, 1)) == pattern_pair((2, 3, 1), (3, 1, 2))
         with pytest.raises(ValueError):

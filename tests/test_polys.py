@@ -510,6 +510,13 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(RationalGF(MultiPoly.one(), 1 - X), -1)
 
+    @pytest.mark.parametrize("n_max", [True, False, 2.5, "3"])
+    def test_rejects_an_n_max_that_is_not_an_int(self, n_max):
+        gf = RationalGF(MultiPoly.one(), 1 - X)
+        for call in (expand, coefficient):
+            with pytest.raises(ValueError, match=f"^n_max must be an int, got {n_max!r}$"):
+                call(gf, n_max)
+
     def test_series_table_validates_length(self):
         with pytest.raises(ValueError):
             SeriesTable(2, (MultiPoly.one(),))

@@ -192,6 +192,14 @@ class TestCheckCounts:
         with pytest.raises(ValueError, match="n_max >= 0"):
             check_counts(-1)
 
+    @pytest.mark.parametrize("check", [check_counts, check_equidistribution_maps])
+    @pytest.mark.parametrize("n_max", [True, False, 2.5, "3"])
+    def test_a_range_that_is_not_an_int_is_rejected(self, monkeypatch, check, n_max):
+        calls = count_calls(monkeypatch, "class_size", "enumerate_class")
+        with pytest.raises(ValueError, match=f"^n_max must be an int, got {n_max!r}$"):
+            check(n_max)
+        assert calls == {"class_size": 0, "enumerate_class": 0}
+
     def test_failure_shape(self):
         report = VerifyReport(
             name="x", pair=None, family=None, n_range=(0, 1), status="fail",
@@ -306,6 +314,18 @@ class TestSuite:
         for name in ("check_counts", "check_gf", "check_equidistribution_maps"):
             monkeypatch.setattr(verify, name, must_not_run)
         with pytest.raises(ValueError, match=f"n_max must be at most 18, got {n_max}$"):
+            suite(scope, n_max)
+
+    @pytest.mark.parametrize("scope", ["all", "counts", "gf", "maps"])
+    @pytest.mark.parametrize("n_max", [True, False, 2.5, "3"])
+    def test_a_range_that_is_not_an_int_is_rejected_before_any_check(
+            self, monkeypatch, scope, n_max):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before the range was rejected")
+
+        for name in ("check_counts", "check_gf", "check_equidistribution_maps"):
+            monkeypatch.setattr(verify, name, must_not_run)
+        with pytest.raises(ValueError, match=f"^n_max must be an int, got {n_max!r}$"):
             suite(scope, n_max)
 
 
