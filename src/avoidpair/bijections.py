@@ -41,6 +41,7 @@ from .perms import (
     format_perm,
     make_permutation,
     pattern_pair,
+    require_length,
 )
 
 Composition = tuple[int, ...]
@@ -116,10 +117,7 @@ def compositions(n: int):
 
     A bad n raises here, before the generator yields anything.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    require_length(n)
     return (_from_cuts([i + 1 for i in range(n - 1) if mask >> i & 1], n)
             for mask in range(1 << max(n - 1, 0)))
 

@@ -36,7 +36,7 @@ from .perms import (
     reduce_to_canonical,
 )
 from .polys import MultiPoly, RationalGF
-from .stats import FAMILIES, FAMILY_MARKERS, STAT_SWAPS, StatVector
+from .stats import FAMILIES, FAMILY_MARKERS, STAT_SWAPS, StatVector, require_family
 
 STAT_NAMES = StatVector._fields
 
@@ -290,12 +290,6 @@ def _single_entries() -> dict[tuple[Pair, str], CatalogEntry]:
     return entries
 
 
-def _check_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return family
-
-
 def _stored(entries: dict, pair: Pair, key: str) -> CatalogEntry:
     pair = pattern_pair(*pair)
     if pair == FINITE_PAIR:
@@ -311,7 +305,7 @@ def _stored(entries: dict, pair: Pair, key: str) -> CatalogEntry:
 
 def canonical_entry(pair: Pair, family: str) -> CatalogEntry:
     """Stored entry for a canonical pair, with its audit fields."""
-    return _stored(_joint_entries(), pair, _check_family(family))
+    return _stored(_joint_entries(), pair, require_family(family))
 
 
 def canonical_gf(pair: Pair, family: str) -> RationalGF:
@@ -352,7 +346,7 @@ def gf_for(pair: Pair, family: str) -> RationalGF:
     >>> lhs == canonical_gf(pattern_pair((1, 2, 3), (1, 3, 2)), "G")
     True
     """
-    family = _check_family(family)
+    family = require_family(family)
     return _gf_for(pattern_pair(*pair), family)
 
 

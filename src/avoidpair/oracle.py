@@ -65,9 +65,7 @@ def brute_distribution(pair: Pair, n: int, family: str, *,
     >>> print(brute_distribution(parse_pair("231,312"), 3, "G"))
     p^2 y + 2 p q y z + q^2 z
     """
-    mask = _FAMILY_MASKS.get(family)
-    if mask is None:
-        raise ValueError(f"unknown family {family!r}")
+    mask = _FAMILY_MASKS[stats.require_family(family)]
     terms = {}
     get = terms.get
     for key, count in _joint_counts(pair, n, joint).items():

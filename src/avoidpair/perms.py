@@ -45,11 +45,21 @@ def make_permutation(seq: Iterable[int]) -> Perm:
     return values
 
 
+def require_length(n, name: str = "n") -> None:
+    """The one length rule, checked before any work: an int, not a bool, at least 0."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"{name} must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {n}")
+
+
 def identity(n: int) -> Perm:
+    require_length(n)
     return tuple(range(1, n + 1))
 
 
 def decreasing(n: int) -> Perm:
+    require_length(n)
     return tuple(range(n, 0, -1))
 
 
@@ -313,7 +323,8 @@ def reduce_to_canonical(pair: Pair) -> tuple[Pair, str]:
 
 
 def all_perms(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic order."""
+    """All of S_n in lexicographic order; a bad n raises at the call."""
+    require_length(n)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -412,10 +423,7 @@ def _canonical_at(pair: Pair, n: int) -> tuple[Pair, str]:
     Every class function validates its arguments here, so each rejects a
     bad n or a bad pair at every length with the same error.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    require_length(n)
     return reduce_to_canonical(pattern_pair(*pair))
 
 

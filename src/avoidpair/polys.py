@@ -240,7 +240,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = MultiPoly.one()
         base = self

@@ -131,6 +131,13 @@ FAMILY_MARKERS = {
 FAMILIES = tuple(FAMILY_MARKERS)
 
 
+def require_family(family: str) -> str:
+    """``family`` if it is one of `FAMILIES`: the catalogue and the oracle check here."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return family
+
+
 def stat_vector(perm: Perm) -> StatVector:
     """All eight statistics in one forward and one backward scan.
 

@@ -19,6 +19,14 @@ distinct quadruple once, and map each member with the maps' image
 functions (see :mod:`avoidpair.bijections`), which neither decode the
 member's cuts to check it nor search for a pattern.  :func:`suite` lists
 the reports of one ``avoidpair verify`` run for a scope.
+
+Each check rejects a bad ``n_max`` itself, before any expansion or member,
+by one rule (``_check_range``): the length rule of
+:func:`~avoidpair.perms.require_length`, the check's first length (1 for
+the maps), and the lowest :func:`~avoidpair.perms.length_limits` entry
+over the classes the check enumerates (18; 90 for ``check_gf`` on
+``132,321``).  :func:`suite` applies the same rule to every range it will
+run before the first check runs.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ from .perms import (
     format_pair,
     length_limits,
     pattern_pair,
+    reduce_to_canonical,
+    require_length,
     reverse,
 )
 # brute_distribution lives in oracle, which table --oracle loads without
@@ -52,6 +62,10 @@ DEFAULT_N_COUNTS = 12
 DEFAULT_N_G = 10
 DEFAULT_N_F = 9
 DEFAULT_N_MAPS = 12
+
+# The classes the map checks enumerate; the third is the increasing-prefix class.
+_PREFIX_PAIR = pattern_pair((2, 1, 3), (3, 1, 2))
+_MAP_PAIRS = (LAYERED_PAIR, RUN_PAIR, _PREFIX_PAIR)
 
 
 class VerifyReport(Record):
@@ -69,14 +83,8 @@ class VerifyReport(Record):
         return self.status == "pass"
 
     def to_json_line(self) -> str:
-        payload = {
-            "name": self.name,
-            "pair": self.pair,
-            "family": self.family,
-            "n_range": list(self.n_range),
-            "status": self.status,
-            "first_discrepancy": self.first_discrepancy,
-        }
+        payload = dict(zip(self._compared, self._values()))
+        payload["n_range"] = list(self.n_range)
         return json.dumps(payload, sort_keys=True)
 
 
@@ -91,15 +99,31 @@ def _report(name, pair, family, n_range, discrepancy=None) -> VerifyReport:
     )
 
 
+def _check_range(n_max, first: int, pairs: Iterable[Pair]) -> None:
+    """The range rule of every check (see the module docstring); ``pairs``
+    are the classes the check enumerates."""
+    require_length(n_max, "n_max")
+    if n_max < first:
+        # only the map checks start past n = 0
+        raise ValueError(f"the map checks start at n = {first}, so n_max must be at least "
+                         f"{first}, got {n_max}")
+    limits = length_limits()
+    if n_max > (limit := min(limits[reduce_to_canonical(pair)[0]] for pair in pairs)):
+        raise ValueError(f"the checks enumerate classes only up to n = {limit}, "
+                         f"so n_max must be at most {limit}, got {n_max}")
+
+
 def check_gf(pair: Pair, family: str, n_max: int, gf=None, *,
              joint: dict | None = None) -> VerifyReport:
-    """Expansion coefficients of the catalogued form vs brute force.
+    """Expansion coefficients of the catalogued form vs brute force, n = 0..n_max.
 
+    ``n_max``, at most 18 (90 for ``132,321``), is checked before any work.
     Passing ``gf`` substitutes a candidate form for the catalogued one,
     which lets the harness prove it would catch a corrupted entry.
     ``joint`` is passed on to :func:`brute_distribution`.
     """
     pair = pattern_pair(*pair)
+    _check_range(n_max, 0, (pair,))
     if gf is None:
         gf = catalog.gf_for(pair, family)
     table = expand(gf, n_max)
@@ -115,17 +139,13 @@ def check_gf(pair: Pair, family: str, n_max: int, gf=None, *,
     return _report("gf-vs-enumeration", pair, family, (0, n_max))
 
 
-def _require_an_int(n_max) -> None:
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise ValueError(f"n_max must be an int, got {n_max!r}")
-
-
 def check_counts(n_max: int = DEFAULT_N_COUNTS) -> VerifyReport:
-    """Enumerated class sizes vs the closed-form counts, all 15 pairs, n = 0..n_max."""
-    _require_an_int(n_max)
-    if n_max < 0:
-        raise ValueError(f"the counts check needs n_max >= 0, got {n_max}")
-    for pair in all_pairs():
+    """Enumerated class sizes vs the closed-form counts, all 15 pairs, n = 0..n_max.
+
+    ``n_max``, at most 18, is checked before any class is made."""
+    pairs = all_pairs()
+    _check_range(n_max, 0, pairs)
+    for pair in pairs:
         for n in range(n_max + 1):
             actual = class_size(pair, n)
             expected = class_count(pair, n)
@@ -155,13 +175,6 @@ def _quadruples(pair: Pair, n: int, distinct: dict) -> dict:
     return quadruples
 
 
-def _require_a_map_length(n_max: int) -> None:
-    _require_an_int(n_max)
-    if n_max < 1:
-        raise ValueError("the map checks start at n = 1, so n_max must be at least 1, "
-                         f"got {n_max}")
-
-
 def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyReport]:
     """The five statistic-exchange facts, checked pointwise and as multisets.
 
@@ -175,22 +188,21 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
 
     Each length computes one member-to-quadruple table per class, shared by
     all five facts; only the current length's tables are kept.  The maps
-    are defined from n = 1, so ``n_max`` must be at least 1.
+    are defined from n = 1, so ``n_max``, checked before any member is
+    made, must be in 1..18.
     """
-    _require_a_map_length(n_max)
-    prefix_pair = pattern_pair((2, 1, 3), (3, 1, 2))
+    _check_range(n_max, 1, _MAP_PAIRS)
     checks = [
         ("involution-swaps-quadruple", LAYERED_PAIR, complement_image, LAYERED_PAIR),
         ("complement-swaps-quadruple", RUN_PAIR, complement, RUN_PAIR),
-        ("reverse-swaps-quadruple", prefix_pair, reverse, prefix_pair),
+        ("reverse-swaps-quadruple", _PREFIX_PAIR, reverse, _PREFIX_PAIR),
         ("transfer-swaps-quadruple", LAYERED_PAIR, transfer_image, RUN_PAIR),
     ]
     cross_name = "cross-class-equidistribution"
     found = {}
     for n in range(1, n_max + 1):
         distinct = {}
-        tables = {pair: _quadruples(pair, n, distinct)
-                  for pair in (LAYERED_PAIR, RUN_PAIR, prefix_pair)}
+        tables = {pair: _quadruples(pair, n, distinct) for pair in _MAP_PAIRS}
         swapped = {(a, d, ya, zd): (d, a, zd, ya) for a, d, ya, zd in distinct}
         for name, src, mapping, dst in checks:
             if name in found:
@@ -221,11 +233,10 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
 def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     """The reports of one ``avoidpair verify`` run, in the order it prints them.
 
-    ``scope`` is one of :data:`SCOPES`; ``n_max``, when
-    given, replaces every default range, and is checked before any check
-    runs: an int and not a bool, at most the lowest of
-    :func:`~avoidpair.perms.length_limits` (18), and at least 1 when the
-    maps run.  ``all`` is the counts check, then family G and family F over
+    ``scope`` is one of :data:`SCOPES`; ``n_max``, when given, replaces
+    every default range.  Every range the run will check is checked, as its
+    check checks it, before any check runs, so a bad range throws no work
+    away: at most 18, and at least 1 when the maps run.  ``all`` is the counts check, then family G and family F over
     the 14 infinite pairs, then the five maps.
     """
     if scope not in SCOPES:
@@ -234,28 +245,28 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     def upto(default: int) -> int:
         return default if n_max is None else n_max
 
-    # before any check runs, so a bad range throws no work away; every scope
-    # enumerates a class of size 2^(n-1), which has the lowest length limit
-    if n_max is not None:
-        _require_an_int(n_max)
-        if n_max > (limit := min(length_limits().values())):
-            raise ValueError(f"the checks enumerate classes only up to n = {limit}, "
-                             f"so n_max must be at most {limit}, got {n_max}")
-    if scope in ("all", "maps"):
-        _require_a_map_length(upto(DEFAULT_N_MAPS))
+    counts, gf, maps = (scope in ("all", part) for part in ("counts", "gf", "maps"))
+    infinite = [pair for pair in all_pairs() if pair != FINITE_PAIR]
+    families = (("G", upto(DEFAULT_N_G)), ("F", upto(DEFAULT_N_F)))
+    if counts:
+        _check_range(upto(DEFAULT_N_COUNTS), 0, all_pairs())
+    if gf:
+        for _, n in families:
+            _check_range(n, 0, infinite)
+    if maps:
+        _check_range(upto(DEFAULT_N_MAPS), 1, _MAP_PAIRS)
     reports = []
-    if scope in ("all", "counts"):
+    if counts:
         reports.append(check_counts(upto(DEFAULT_N_COUNTS)))
-    if scope in ("all", "gf"):
+    if gf:
         # G fills one eight-statistic table per (pair, n) and F reads its
         # marginal off the same table; dropped before the maps run.
         joint = {}
-        for family, default in (("G", DEFAULT_N_G), ("F", DEFAULT_N_F)):
-            for pair in all_pairs():
-                if pair != FINITE_PAIR:
-                    reports.append(check_gf(pair, family, upto(default), joint=joint))
+        for family, n in families:
+            for pair in infinite:
+                reports.append(check_gf(pair, family, n, joint=joint))
         del joint
-    if scope in ("all", "maps"):
+    if maps:
         reports.extend(check_equidistribution_maps(upto(DEFAULT_N_MAPS)))
     return reports
 

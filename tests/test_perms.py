@@ -18,12 +18,14 @@ from avoidpair.perms import (
     class_size,
     complement,
     contains,
+    decreasing,
     direct_sum,
     enumerate_class,
     filter_class,
     find_occurrence,
     format_pair,
     format_perm,
+    identity,
     inverse,
     make_permutation,
     parse_pair,
@@ -383,7 +385,7 @@ class TestClassMembers:
             assert class_members(pair, 7) is class_members(pair, 7)
 
 
-CLASS_FUNCTIONS = (class_count, class_size, enumerate_class, class_members)
+CLASS_FUNCTIONS = (class_count, class_size, enumerate_class, class_members, filter_class)
 
 
 class TestClassArguments:
@@ -401,6 +403,23 @@ class TestClassArguments:
         for pair in (CANONICAL_PAIRS[0], FINITE_PAIR):
             with pytest.raises(ValueError, match="n must be an int, got"):
                 function(pair, n)
+
+    @pytest.mark.parametrize("function", CLASS_FUNCTIONS)
+    def test_a_negative_length_is_rejected(self, function):
+        for pair in (CANONICAL_PAIRS[0], FINITE_PAIR):
+            with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+                function(pair, -1)
+
+
+class TestLengthArguments:
+    """Every function of a length alone checks it by the one length rule."""
+
+    @pytest.mark.parametrize("function", [all_perms, identity, decreasing])
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_a_bad_length_is_rejected(self, function, n):
+        message = "n must be non-negative, got -1" if n == -1 else f"n must be an int, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(n)
 
 
 class TestLengthLimits:

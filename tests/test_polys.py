@@ -259,6 +259,11 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="bad exponent vector"):
             MultiPoly({(0,) * 8 + (False,): 1})
 
+    @pytest.mark.parametrize("n", [True, False, -1, 2.0])
+    def test_pow_rejects_an_exponent_that_is_not_a_non_negative_int(self, n):
+        with pytest.raises(ValueError, match="^exponent must be a non-negative integer$"):
+            X ** n
+
     def test_pow_squares_only_while_bits_remain(self, monkeypatch):
         base = 1 - P**2 * X**2 * Y
         products = []

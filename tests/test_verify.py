@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,8 @@ def count_calls(monkeypatch, *names):
 
 PAIR_231_312 = pattern_pair((2, 3, 1), (3, 1, 2))
 PAIR_213_231 = pattern_pair((2, 1, 3), (2, 3, 1))
+PAIR_123_132 = pattern_pair((1, 2, 3), (1, 3, 2))
+PAIR_132_321 = pattern_pair((1, 3, 2), (3, 2, 1))
 
 
 class TestBruteDistribution:
@@ -86,6 +89,13 @@ class TestBruteDistribution:
         with pytest.raises(ValueError, match="unknown family 'H'"):
             brute_distribution(FINITE_PAIR, 5, "H")
 
+    def test_the_oracle_and_the_catalogue_reject_a_family_alike(self):
+        message = re.escape("unknown family 'H'; expected one of ('F', 'G')")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            brute_distribution(PAIR_231_312, 3, "H")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            catalog.gf_for(PAIR_231_312, "H")
+
     def test_each_statistic_has_one_marker_of_its_own(self):
         # the oracle packs all eight statistics into one key, each in the
         # field of its marker, and masks that key to read either family
@@ -112,6 +122,10 @@ def corrupt(gf):
 
 
 class TestCheckGF:
+    def test_the_132_321_class_is_checked_past_the_lowest_limit(self):
+        # Av(132, 321) grows as 1 + C(n, 2), so it is enumerated to n = 90
+        assert check_gf(PAIR_132_321, "G", 40).passed
+
     def test_passes_for_catalogued_forms(self):
         report = check_gf(pattern_pair((1, 2, 3), (1, 3, 2)), "F", 6)
         assert report.passed and report.first_discrepancy is None
@@ -189,7 +203,7 @@ class TestCheckCounts:
         assert report.passed
 
     def test_a_negative_range_is_rejected(self):
-        with pytest.raises(ValueError, match="n_max >= 0"):
+        with pytest.raises(ValueError, match="^n_max must be non-negative, got -1$"):
             check_counts(-1)
 
     @pytest.mark.parametrize("check", [check_counts, check_equidistribution_maps])
@@ -260,8 +274,11 @@ class TestEquidistributionMaps:
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_a_range_without_a_length_is_rejected(self, n_max):
-        # the maps start at n = 1, so these ranges would check nothing
-        with pytest.raises(ValueError, match="n_max must be at least 1"):
+        # the maps start at n = 1, so these ranges would check nothing; a
+        # negative one breaks the length rule first
+        message = {0: "the map checks start at n = 1, so n_max must be at least 1, got 0",
+                   -1: "n_max must be non-negative, got -1"}[n_max]
+        with pytest.raises(ValueError, match=f"^{message}$"):
             check_equidistribution_maps(n_max)
 
     def test_one_length_is_checked(self):
@@ -273,6 +290,32 @@ class TestEquidistributionMaps:
         left = brute_distribution(PAIR_231_312, 2, "G")
         right = brute_distribution(PAIR_213_231, 2, "G")
         assert left == right == P * Y + Q * Z
+
+
+class TestDirectChecks:
+    """Each check rejects its range itself, before any expansion or member."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work began before the range was rejected")
+
+        for canonical in perms.CANONICAL_PAIRS:
+            monkeypatch.setitem(perms._CANONICAL_GENERATORS, canonical, must_not_run)
+        monkeypatch.setattr(verify, "expand", must_not_run)
+
+    @pytest.mark.parametrize("check, limit, n_max", [
+        (check_counts, 18, 19),
+        (lambda n_max: check_gf(PAIR_123_132, "G", n_max), 18, 19),
+        (lambda n_max: check_gf(PAIR_132_321, "G", n_max), 90, 91),
+        (check_equidistribution_maps, 18, 19),
+    ], ids=["counts", "gf-123,132", "gf-132,321", "maps"])
+    def test_a_range_past_the_enumeration_limit_is_rejected_first(
+            self, no_work, check, limit, n_max):
+        with pytest.raises(ValueError, match=(
+                f"^the checks enumerate classes only up to n = {limit}, "
+                f"so n_max must be at most {limit}, got {n_max}$")):
+            check(n_max)
 
 
 class TestSuite:
