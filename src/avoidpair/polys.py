@@ -78,6 +78,19 @@ def _pack(exps: tuple) -> int:
     return int.from_bytes(_FIELDS.pack(*_to_layout(exps)), "little")
 
 
+def _checked_key(exps: Iterable) -> int:
+    """The key of an exponent vector in ``VARS`` order, each exponent an int
+    (not a bool) in 0..2^64 - 1."""
+    exps = tuple(exps)
+    if len(exps) != _NVARS or any(
+        isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps
+    ):
+        raise ValueError(f"bad exponent vector: {exps!r}")
+    if max(exps) > _FIELD_MAX:
+        raise ExponentOverflowError(f"exponent vector {exps!r} does not fit 64-bit fields")
+    return _pack(exps)
+
+
 def _fields(keys: Iterable[int]) -> Iterable[tuple]:
     """The exponents of each key, in ``_LAYOUT`` order (one struct call each)."""
     return map(_FIELDS.unpack, map(int.to_bytes, keys, repeat(_KEY_BYTES), repeat("little")))
@@ -127,18 +140,11 @@ class MultiPoly:
     def __init__(self, terms: Mapping[tuple, int] | None = None):
         cleaned = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != _NVARS or any(
-                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps
-            ):
-                raise ValueError(f"bad exponent vector: {exps!r}")
-            if max(exps) > _FIELD_MAX:
-                raise ExponentOverflowError(
-                    f"exponent vector {exps!r} does not fit 64-bit fields")
+            key = _checked_key(exps)
             if isinstance(coeff, bool) or not isinstance(coeff, int):
                 raise ValueError(f"non-integer coefficient: {coeff!r}")
             if coeff:
-                cleaned[_pack(exps)] = coeff
+                cleaned[key] = coeff
         self._terms = cleaned
 
     @classmethod
@@ -259,7 +265,11 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if len(terms) < 2 and terms.keys() <= {0}:
+            # zero or a constant equals that int, so it hashes as that int
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     # -- structural operations ---------------------------------------------
 
@@ -344,14 +354,20 @@ class MultiPoly:
 
     @classmethod
     def from_json_terms(cls, data: Iterable[Mapping]) -> "MultiPoly":
-        terms: dict[tuple, int] = {}
+        """Read the wire format back: each exponent must be an int, as the
+        constructor requires, and each coefficient the str :func:`json_term`
+        writes."""
+        terms: dict[int, int] = {}
         for item in data:
             exps = [0] * _NVARS
             for name, e in item["exponents"].items():
-                exps[_INDEX[_known(name)]] = int(e)
-            exps = tuple(exps)
-            terms[exps] = terms.get(exps, 0) + int(item["coeff"])
-        return cls(terms)
+                exps[_INDEX[_known(name)]] = e
+            key = _checked_key(exps)
+            coeff = item["coeff"]
+            if not isinstance(coeff, str) or str(value := int(coeff)) != coeff:
+                raise ValueError(f"coefficient is not an int's str: {coeff!r}")
+            terms[key] = terms.get(key, 0) + value
+        return cls._raw(_nonzero(terms))
 
 
 def json_term(exps: tuple, coeff: int) -> dict:

@@ -236,8 +236,10 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     ``scope`` is one of :data:`SCOPES`; ``n_max``, when given, replaces
     every default range.  Every range the run will check is checked, as its
     check checks it, before any check runs, so a bad range throws no work
-    away: at most 18, and at least 1 when the maps run.  ``all`` is the counts check, then family G and family F over
-    the 14 infinite pairs, then the five maps.
+    away: at most 18, and at least 1 when the maps run.
+
+    ``all`` is the counts check, then family G and family F over the 14
+    infinite pairs, then the five maps.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import resource
 import subprocess
@@ -169,8 +170,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("pair", ["213,231", "132,312", "213,312", "132,231"])
     def test_n12_matches_its_pinned_digest(self, capsys, pair):
-        # the file is in `sha256sum -c` format: CI checks the installed
-        # console script's output against the same digests
+        # the file is in `sha256sum -c` format: a digest and a file name a line
         text = (Path(__file__).parent / "data" / "enumerate_n12.sha256").read_text()
         pinned = {name: digest for digest, name in (line.split("  ") for line in text.splitlines())}
         code, out, err = run_cli(capsys, "enumerate", "--pair", pair, "--n", "12")
@@ -267,8 +267,7 @@ class TestTable:
                     assert from_gf == from_oracle, (pair_text, family, n)
 
     def test_plain_bytes_at_ten_for_every_infinite_pair(self, capsys):
-        # table_n10.txt holds F then G for each pair in all_pairs() order; CI
-        # compares the installed console script against the same file.
+        # table_n10.txt holds F then G for each pair in all_pairs() order
         out = []
         for pair in all_pairs():
             if pair == FINITE_PAIR:
@@ -302,8 +301,7 @@ class TestTable:
 
     @pytest.mark.parametrize("pair, family, n", [("231,312", "G", "60"), ("132,213", "F", "30")])
     def test_benchmark_size_json_matches_its_pinned_digest(self, capsys, pair, family, n):
-        # the file is in `sha256sum -c` format: CI checks the installed
-        # console script's output against the same digests
+        # the file is in `sha256sum -c` format: a digest and a file name a line
         text = (Path(__file__).parent / "data" / "table_benchmark_sizes.sha256").read_text()
         pinned = {name: digest for digest, name in (line.split("  ") for line in text.splitlines())}
         code, out, err = run_cli(
@@ -313,11 +311,12 @@ class TestTable:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == pinned[f"table_{pair}_{family}_n{n}.json"]
 
-    def test_too_large_n_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("pair, family", [("123,132", "F"), ("231,312", "G")])
+    def test_too_large_n_is_a_usage_error(self, capsys, pair, family):
         # the packed exponents of the expansion would need more than 64 bits
         n = str(10**19)
         code, out, err = run_cli(
-            capsys, "table", "--pair", "123,132", "--family", "F", "--n", n
+            capsys, "table", "--pair", pair, "--family", family, "--n", n
         )
         assert code == 2 and out == ""
         assert err == (
@@ -405,9 +404,8 @@ class TestMap:
         assert out == "3 2 1 6 5 4 7 10 9 8 11 12 13 14\n"
 
     def test_non_member_is_a_data_error_with_the_occurrence(self, capsys):
-        code, out, err = run_cli(capsys, "map", "--which", "f", "--perm", "2 3 1")
-        assert code == 1
-        assert "231" in err and "positions" in err
+        assert run_cli(capsys, "map", "--which", "f", "--perm", "2 3 1") == (
+            1, "", "error: 2 3 1 contains 231 at positions (1, 2, 3) (values 2 3 1)\n")
 
     def test_empty_perm_is_a_usage_error(self, capsys):
         for which in ("f", "g"):
@@ -428,6 +426,15 @@ class TestVerify:
     def test_default_run_prints_the_recorded_reports(self, capsys):
         expected = (Path(__file__).parent / "data" / "verify_default.jsonl").read_text()
         assert run_cli(capsys, "verify") == (0, expected, "")
+
+    @pytest.mark.parametrize("seed", ["0", "4242"])
+    def test_default_run_does_not_depend_on_the_hash_seed(self, seed):
+        # The oracle counts members in generation order, not sorted order:
+        # its output must not depend on set or dict iteration either.
+        result = subprocess.run([sys.executable, "-m", "avoidpair", "verify"],
+                                capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        expected = (Path(__file__).parent / "data" / "verify_default.jsonl").read_bytes()
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, b"")
 
     def test_small_full_run_emits_json_lines(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
@@ -543,7 +550,6 @@ class TestCatalogDump:
                                            ("csv", "catalog_dump.csv"),
                                            ("plain", "catalog_dump.txt")])
     def test_bytes_match_the_recorded_dump(self, capsys, fmt, name):
-        # CI compares the installed console script against the same files.
         expected = (Path(__file__).parent / "data" / name).read_bytes()
         code, out, err = run_cli(capsys, "catalog-dump", "--format", fmt)
         assert (code, out.encode(), err) == (0, expected, "")
@@ -709,8 +715,9 @@ class TestOneParse:
         with pytest.raises(SystemExit) as exc:
             main()
         assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "\navoidpair: error: unrecognized arguments: extra\n")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: avoidpair [-h]")
+        assert err.endswith("\navoidpair: error: unrecognized arguments: extra\n")
 
 
 # --n and --n-max values: every short length, each class's first length past
@@ -835,6 +842,8 @@ class TestBoundedEndToEnd:
         ("enumerate", "--pair", "231,312", "--n", "1500"),
         ("table", "--pair", "231,312", "--family", "G", "--n", "1500", "--oracle"),
         ("verify", "maps", "--n-max", "40"),
+        ("verify", "counts", "--n-max", "19"),
+        ("verify", "gf", "--n-max", "19"),
         ("enumerate", "--pair", "132,321", "--n", "10000"),
     ], ids=" ".join)
     def test_exits_2_with_one_line(self, argv):
@@ -1026,12 +1035,17 @@ class TestColdStartImports:
         assert code == 0 and output
         assert not loaded & {"avoidpair.polys", "avoidpair.catalog", "avoidpair.verify"}
 
-    def test_closed_form_table_loads_no_dataclasses_or_verify_module(self):
-        code, output, loaded = self.loaded_by(
-            "table", "--pair", "231,312", "--family", "G", "--n", "3")
-        assert (code, output) == (0, ["p^2 y + 2 p q y z + q^2 z"])
+    @pytest.mark.parametrize("argv", [
+        ("table", "--pair", "231,312", "--family", "G", "--n", "3"),
+        ("table", "--pair", "132,213", "--family", "F", "--n", "20", "--format", "json"),
+    ], ids=" ".join)
+    def test_closed_form_table_loads_no_dataclasses_or_verify_module(self, capsys, argv):
+        code, output, loaded = self.loaded_by(*argv)
+        # the fresh process prints what main prints in process
+        assert code == 0
+        assert run_cli(capsys, *argv) == (0, "".join(f"{line}\n" for line in output), "")
         assert "avoidpair.catalog" in loaded
-        assert not loaded & {"dataclasses", "inspect", "avoidpair.verify"}
+        assert not loaded & {"dataclasses", "inspect", "json", "avoidpair.verify"}
 
     @pytest.mark.parametrize("argv", [
         ("table", "--pair", "231,312", "--family", "G", "--n", "3"),

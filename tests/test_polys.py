@@ -224,6 +224,12 @@ class TestArithmetic:
         assert (1 - X) ** 3 == 1 - 3 * X + 3 * X**2 - X**3
         assert P**0 == MultiPoly.one()
 
+    @pytest.mark.parametrize("c", [0, 1, -3, 5])
+    def test_a_constant_hashes_as_the_int_it_equals(self, c):
+        poly = MultiPoly.const(c)
+        assert poly == c and hash(poly) == hash(c)
+        assert len({c, poly}) == 1
+
     def test_ring_laws_at_random_integer_points(self):
         rng = random.Random(20240731)
         for _ in range(1000):
@@ -411,6 +417,24 @@ class TestRendering:
         for _ in range(100):
             poly = random_poly(rng)
             assert MultiPoly.from_json_terms(poly.to_json_terms()) == poly
+
+    @pytest.mark.parametrize("terms", [
+        [{"exponents": {"x": True}, "coeff": "1"}],
+        [{"exponents": {"x": 2.7}, "coeff": "1"}],
+        [{"exponents": {"x": "2"}, "coeff": "1"}],
+        # a bad exponent is rejected even where it would merge with a good one
+        [{"exponents": {"x": 1}, "coeff": "1"}, {"exponents": {"x": True}, "coeff": "1"}],
+        [{"exponents": {"x": 1}, "coeff": 2.7}],
+        [{"exponents": {"x": 1}, "coeff": True}],
+        [{"exponents": {"x": 1}, "coeff": 2}],
+        [{"exponents": {"x": 1}, "coeff": "+2"}],
+        [{"exponents": {"x": 1}, "coeff": " 2"}],
+        [{"exponents": {"x": 1}, "coeff": "02"}],
+        [{"exponents": {"x": 1}, "coeff": "\u0662"}],
+    ], ids=repr)
+    def test_from_json_terms_reads_only_what_to_json_terms_writes(self, terms):
+        with pytest.raises(ValueError):
+            MultiPoly.from_json_terms(terms)
 
     def test_json_shape(self):
         poly = 2 * P * Q * Y * Z
