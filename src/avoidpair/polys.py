@@ -22,8 +22,8 @@ import math
 import struct
 from collections import deque
 from functools import cached_property, reduce
-from itertools import repeat
-from operator import itemgetter, or_
+from itertools import compress, repeat
+from operator import itemgetter, not_, or_
 from typing import Iterable, Mapping
 
 from ._record import Record
@@ -107,7 +107,15 @@ def _field_maxima(keys: Iterable[int]) -> tuple:
 
 
 def _nonzero(terms: dict) -> dict:
-    return {key: coeff for key, coeff in terms.items() if coeff}
+    """``terms`` with its zero coefficients deleted in place.
+
+    Every caller passes a dict that it has just built and owns, never one a
+    MultiPoly or a plan holds, so the few cancelled terms are deleted rather
+    than the whole dict rebuilt; one scan finds whether there are any."""
+    if 0 in terms.values():
+        for key in list(compress(terms, map(not_, terms.values()))):
+            del terms[key]
+    return terms
 
 
 def _term_order(item: tuple) -> tuple:
@@ -216,13 +224,16 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            terms[key] = terms.get(key, 0) - coeff
+        return MultiPoly._raw(_nonzero(terms))
 
     def __rsub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -318,7 +329,15 @@ class MultiPoly:
         return {d: MultiPoly._raw(t) for d, t in slices.items()}
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
-        """Value at an integer point; every used variable must be assigned."""
+        """Value at an integer point: each name a ring variable, each value an
+        int (not a bool), and every variable the polynomial uses assigned."""
+        for name, value in assignment.items():
+            _known(name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"value of {name} must be an int, got {value!r}")
+        for name, degree in zip(_LAYOUT, _field_maxima(self._terms)):
+            if degree and name not in assignment:
+                raise ValueError(f"variable {name} is used but not assigned")
         total = 0
         for exps, coeff in zip(_unpack(self._terms), self._terms.values()):
             value = coeff
@@ -359,8 +378,15 @@ class MultiPoly:
         writes."""
         terms: dict[int, int] = {}
         for item in data:
+            if not isinstance(item, Mapping):
+                raise ValueError(f"a term must be a mapping, got {item!r}")
+            if "exponents" not in item or "coeff" not in item:
+                raise ValueError(f'a term needs "exponents" and "coeff", got {item!r}')
+            exponents = item["exponents"]
+            if not isinstance(exponents, Mapping):
+                raise ValueError(f"exponents must be a mapping, got {exponents!r}")
             exps = [0] * _NVARS
-            for name, e in item["exponents"].items():
+            for name, e in exponents.items():
                 exps[_INDEX[_known(name)]] = e
             key = _checked_key(exps)
             coeff = item["coeff"]
@@ -528,9 +554,11 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     term whose stored coefficient is +1 or -1 (every term of the layered G
     denominator, and most F-factor terms) adds or subtracts an earlier
     output's coefficients without a multiply.  A stage's output holds a
-    zero only where a term cancelled, so it is filtered only then; it is
-    already a coefficient's term dict, and the last stage's outputs become
-    the returned MultiPolys as they are, with no unpacking and no copy.
+    zero only where a term cancelled, and those few terms are deleted from
+    it in place: each stage builds its output in a dict of its own, which
+    nothing else holds.  That dict is already a coefficient's term dict,
+    and the last stage's outputs become the returned MultiPolys as they
+    are, with no unpacking and no copy.
 
     The ring's fields are 64 bits wide.  Before cancellation every term of
     a stage's k-th output is a term of num times at most k factor terms of
@@ -604,9 +632,7 @@ def _packed_series(gf: RationalGF, n_max: int):
                             for ec, cc in prev:
                                 e = ef + ec
                                 acc[e] = get(e, 0) + cf * cc
-                if 0 in acc.values():  # only a cancellation leaves a zero
-                    acc = _nonzero(acc)
-                recent.append(acc)
+                recent.append(_nonzero(acc))
             yield acc
 
     return coefficients()

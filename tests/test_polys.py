@@ -1,7 +1,8 @@
+import copy
 import json
 import math
 import random
-from operator import add
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,18 @@ def reference_expand(gf: RationalGF, n_max: int) -> SeriesTable:
             c = c - den_slices[j] * coeffs[k - j]
         coeffs.append(c)
     return SeriesTable(n_max, tuple(coeffs))
+
+
+def expand_checked(gf: RationalGF, n_max: int) -> SeriesTable:
+    """``expand(gf, n_max)``, whose last coefficient ``coefficient`` must
+    equal; both must leave the form's plan as it was and store no zero."""
+    plan = copy.deepcopy(gf._plan)
+    table = expand(gf, n_max)
+    last = coefficient(gf, n_max)
+    assert last == table.coeffs[n_max]
+    assert gf._plan == plan
+    assert all(0 not in poly._terms.values() for poly in (*table.coeffs, last))
+    return table
 
 
 FIELD_MAX = 2**64 - 1
@@ -240,6 +253,34 @@ class TestArithmetic:
             assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
             assert (a * (b + c)).evaluate(point) == (a * b + a * c).evaluate(point)
             assert ((a * b) * c).evaluate(point) == (a * (b * c)).evaluate(point)
+
+    @pytest.mark.parametrize("assignment, message", [
+        ({"p": 0.5, "x": 1}, r"^value of p must be an int, got 0\.5$"),
+        ({"p": True, "x": 2}, r"^value of p must be an int, got True$"),
+        ({"x": 1}, r"^variable p is used but not assigned$"),
+        ({"p": 1, "x": 1, "w": 2}, r"^unknown variable 'w'; ring variables are "),
+    ], ids=["float", "bool", "unassigned", "unknown"])
+    def test_evaluate_takes_an_int_for_each_used_ring_variable(self, assignment, message):
+        with pytest.raises(ValueError, match=message):
+            (1 + P * X).evaluate(assignment)
+
+    # Each operation cancels a term, which is deleted from the result's own
+    # dict in place and never from an operand's.
+    @pytest.mark.parametrize("operands, operation, result", [
+        ((1 + P * X, Q - P * X), add, 1 + Q),
+        ((1 + P * X, Q + P * X), sub, 1 - Q),
+        ((Q + P * X, 1 + P * X), sub, Q - 1),
+        ((1 + P,), lambda a: 1 - a, -P),
+        ((1 + X, 1 - X), mul, 1 - X**2),
+        ((P * Y - Q * Y + Z,), lambda a: a.rename({"p": "q"}), Z),
+        ((P * Y - P + Z,), lambda a: a.substitute_one("y"), Z),
+    ], ids=["a + b", "a - b", "b - a", "int - a", "a * b", "merging rename",
+            "substitute_one"])
+    def test_a_cancelling_operation_changes_no_operand(self, operands, operation, result):
+        before = [dict(operand._terms) for operand in operands]
+        value = operation(*operands)
+        assert value == result and 0 not in value._terms.values()
+        assert [operand._terms for operand in operands] == before
 
     def test_structural_ring_laws(self):
         rng = random.Random(7)
@@ -431,6 +472,10 @@ class TestRendering:
         [{"exponents": {"x": 1}, "coeff": " 2"}],
         [{"exponents": {"x": 1}, "coeff": "02"}],
         [{"exponents": {"x": 1}, "coeff": "\u0662"}],
+        [{"exponents": {}}],
+        [{"coeff": "1"}],
+        [{"exponents": [["x", 1]], "coeff": "1"}],
+        ["x"],
     ], ids=repr)
     def test_from_json_terms_reads_only_what_to_json_terms_writes(self, terms):
         with pytest.raises(ValueError):
@@ -570,6 +615,11 @@ class TestPackedKernel:
             gf = gf_for(pair, family)
             assert expand(gf, n_max) == reference_expand(gf, n_max), format_pair(pair)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_catalog_expansions_keep_the_plan_and_store_no_zero(self, family):
+        for pair in INFINITE_PAIRS:
+            expand_checked(gf_for(pair, family), 20)
+
     # The largest F denominator (23 terms), a G one of x-degree 6 and the
     # layered G form, the slowest expansion the benchmark makes.
     @pytest.mark.parametrize("pair, family, n_max", [
@@ -643,9 +693,8 @@ class TestStagedKernel:
         den = math.prod(factors, start=MultiPoly.one())
         staged = RationalGF(num, den, factors)
         assert staged.den_factors == factors
-        table = expand(staged, n_max)
+        table = expand_checked(staged, n_max)
         assert table == reference_expand(RationalGF(num, den), n_max)
-        assert coefficient(staged, n_max) == table.coeffs[n_max]
 
     @settings(deadline=None)  # the reference multiplies whole MultiPolys
     @given(
@@ -658,12 +707,9 @@ class TestStagedKernel:
         factors = tuple(1 + tail for tail in factor_tails)
         den = math.prod(factors, start=MultiPoly.one())
         gf = RationalGF(den * quotient, den, factors)
-        table = expand(gf, n_max)
+        table = expand_checked(gf, n_max)
         slices = quotient.x_slices()
         assert list(table.coeffs) == [slices.get(k, MultiPoly.zero()) for k in range(n_max + 1)]
-        last = coefficient(gf, n_max)
-        assert last == table.coeffs[n_max]
-        assert all(coeff for poly in (*table.coeffs, last) for _, coeff in poly.terms())
 
     # Each form's factor terms take one branch of the kernel's inner loop: all
     # -1, all +1, or other coefficients (2 and -3).  The numerators make terms
