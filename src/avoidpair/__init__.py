@@ -13,9 +13,11 @@ import sys
 
 __version__ = "0.1.0"
 
-# The scopes of ``avoidpair verify``, declared here so that building the
-# CLI's parser does not import :mod:`avoidpair.verify`.
+# The scopes of ``avoidpair verify`` and the catalogue's families, declared
+# here so that the CLI's option table imports neither :mod:`avoidpair.verify`
+# nor :mod:`avoidpair.stats`.
 SCOPES = ("all", "counts", "gf", "maps")
+FAMILIES = ("F", "G")
 
 # Each public name, with the submodule that defines it.
 _EXPORTS = {

@@ -34,6 +34,7 @@ from itertools import accumulate, compress
 from operator import gt, lt, sub
 
 from .perms import (
+    DataError,
     Pair,
     Perm,
     find_occurrence,
@@ -50,7 +51,7 @@ LAYERED_PAIR: Pair = pattern_pair((2, 3, 1), (3, 1, 2))
 RUN_PAIR: Pair = pattern_pair((2, 1, 3), (2, 3, 1))
 
 
-class NotInClassError(ValueError):
+class NotInClassError(DataError):
     """A map argument contains one of its class's forbidden patterns."""
 
     def __init__(self, perm: Perm, pattern: Perm, positions: tuple[int, ...]):

@@ -23,8 +23,8 @@ from functools import cache, lru_cache
 
 from ._record import Record
 
-# FiniteClassError, class_count, FAMILY_MARKERS and FAMILIES are declared in
-# the modules the CLI loads for every command, and re-exported here.
+# FiniteClassError and class_count come from perms, and FAMILY_MARKERS and
+# FAMILIES from stats; all four are re-exported here.
 from .perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
@@ -72,8 +72,6 @@ class CatalogEntry(Record):
         self._set(gf=gf, raw=raw, oracle_corrected=oracle_corrected, note=note)
 
 
-X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
-
 _PAIR_123_132, _PAIR_132_321, _PAIR_231_312, _PAIR_213_231, _PAIR_213_312, _ = CANONICAL_PAIRS
 
 
@@ -100,6 +98,10 @@ def _corrected(num, den, raw_num, raw_den, note: str) -> CatalogEntry:
 
 @lru_cache(maxsize=1)
 def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
+    # The ring generators are built here, and in _single_entries, so that no
+    # other code holds them: an operation that wrote into an operand could
+    # otherwise corrupt every form built after it.
+    X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
     entries: dict[tuple[Pair, str], CatalogEntry] = {}
 
     entries[_PAIR_123_132, "G"] = _entry(
@@ -207,6 +209,7 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
 
 @lru_cache(maxsize=1)
 def _single_entries() -> dict[tuple[Pair, str], CatalogEntry]:
+    X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
     entries: dict[tuple[Pair, str], CatalogEntry] = {}
 
     def put(pair, forms):

@@ -6,32 +6,32 @@ reader closes the output pipe early, 2 on usage errors (including a
 cannot be packed, and an ``enumerate``, ``table --oracle`` or ``verify
 --n-max`` past the length a class is enumerated to).  A handler only
 computes and prints; a request it rejects leaves it as a ``ValueError``, and
-:func:`main` alone maps that to its exit code (1 for ``NotInClassError`` and
-``FiniteClassError``, 2 for any other) and one ``error:`` line on stderr.
-All output is deterministic for fixed arguments.
+:func:`main` alone maps that to its exit code (1 for a
+:class:`~avoidpair.perms.DataError`, 2 for any other) and one ``error:`` line
+on stderr.  All output is deterministic for fixed arguments.
 
+Every command's options are declared once, in :data:`COMMANDS`.
 :func:`main` gets each request's namespace in one of two ways: it reads a
-canonically spelled request off its command parser's own actions, with no
-argparse parse (see :func:`_read_canonical`), or it parses any other argv
-once with the top-level parser, so argparse writes every usage, help and
-error byte.
+canonically spelled request off that table, with no parse and without
+importing argparse (see :func:`_read_canonical`), or it parses any other argv
+once with the parser that :func:`build_parser` builds from the same table, so
+argparse writes every usage, help and error byte.  Each handler imports what
+it runs beyond :mod:`avoidpair.perms`, so a command's cold start loads no
+module that the command does not use.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import os
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
-# Only what building the parser and the cheap commands need is imported
-# here; each handler imports the rest of what it runs, so a command's cold
-# start loads no module that the command does not use.
-from . import SCOPES
-from .bijections import NotInClassError, complement_map, transfer_map
+from . import FAMILIES, SCOPES
 from .perms import (
-    FiniteClassError,
+    DataError,
     class_count,
     enumerate_class,
     format_pair,
@@ -39,21 +39,12 @@ from .perms import (
     parse_pair,
     parse_perm,
 )
-from .stats import FAMILIES, stat_vector
 
 FORMATS = ("json", "csv", "plain")
 
-_MAPS = {"f": complement_map, "g": transfer_map}
-
-
-def _usage(parse):
-    """Argument type reporting ``parse``'s ValueError as a usage error."""
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return convert
+# Each map's function in :mod:`avoidpair.bijections`, looked up when the map
+# runs, so that no other command loads that module.
+_MAPS = {"f": "complement_map", "g": "transfer_map"}
 
 
 def _nonnegative(text: str) -> int:
@@ -65,125 +56,161 @@ def _nonnegative(text: str) -> int:
             raise ValueError
         value = int(digits)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
     if digits != text.strip():
-        raise argparse.ArgumentTypeError("must be non-negative")
+        raise ValueError("must be non-negative")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Option(NamedTuple):
+    """One option of one command, as the canonical reader reads it and as
+    :func:`build_parser` declares it to argparse.
+
+    ``flag`` is the option string, or, for ``verify``'s optional scope, the
+    positional's name.  ``parse`` converts a value and raises ``ValueError``
+    on a bad one.  An option that takes no value sets ``True`` when given.
+    """
+
+    flag: str
+    dest: str
+    parse: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    required: bool = False
+    default: object = None
+    takes_value: bool = True
+    metavar: str | None = None
+    help: str | None = None
+
+
+_PAIR = Option("--pair", "pair", parse_pair, required=True, metavar="A,B")
+_N = Option("--n", "n", _nonnegative, required=True)
+_PERM = Option("--perm", "perm", parse_perm, required=True, metavar='"a b c"')
+_FORMAT = Option("--format", "format", choices=FORMATS, default="plain")
+
+# Each command's help line and options, in the order that help lists them.
+COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
+    "count": ("closed-form size of an avoidance class", (_PAIR, _N)),
+    "enumerate": ("list the class members in lexicographic order", (_PAIR, _N, _FORMAT)),
+    "stats": ("the eight statistics of one permutation", (_PERM, _FORMAT)),
+    "table": ("joint distribution polynomial at one length", (
+        _PAIR,
+        Option("--family", "family", choices=FAMILIES, required=True),
+        _N,
+        Option("--oracle", "oracle", default=False, takes_value=False,
+               help="sum over the enumerated class instead of expanding the closed "
+                    "form; defined for every pair, so it also answers for the finite "
+                    "class 123,321, which has no closed form (0 for n >= 5)"),
+        _FORMAT,
+    )),
+    "map": ("apply one of the statistic-exchanging maps", (
+        Option("--which", "which", choices=tuple(_MAPS), required=True),
+        _PERM,
+    )),
+    "verify": ("run the brute-force verification suite", (
+        Option("scope", "scope", choices=SCOPES, default="all"),
+        Option("--n-max", "n_max", _nonnegative),
+    )),
+    "catalog-dump": ("emit every stored formula for audit", (_FORMAT,)),
+}
+
+# Each command's options by option string: what the canonical reader matches.
+_FLAGS = {command: {option.flag: option for option in options if option.flag.startswith("-")}
+          for command, (_, options) in COMMANDS.items()}
+
+
+def _usage(parse):
+    """Argument type reporting ``parse``'s ValueError as a usage error."""
+    import argparse
+
+    @functools.wraps(parse)
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def build_parser():
+    """A new argparse parser for the commands and options of :data:`COMMANDS`."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="avoidpair",
         description="Statistics over permutations avoiding a pair of length-3 patterns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="plain")
-
-    p = sub.add_parser("count", help="closed-form size of an avoidance class")
-    p.add_argument("--pair", type=_usage(parse_pair), required=True, metavar="A,B")
-    p.add_argument("--n", type=_nonnegative, required=True)
-
-    p = sub.add_parser("enumerate", help="list the class members in lexicographic order")
-    p.add_argument("--pair", type=_usage(parse_pair), required=True, metavar="A,B")
-    p.add_argument("--n", type=_nonnegative, required=True)
-    add_format(p)
-
-    p = sub.add_parser("stats", help="the eight statistics of one permutation")
-    p.add_argument("--perm", type=_usage(parse_perm), required=True, metavar='"a b c"')
-    add_format(p)
-
-    p = sub.add_parser("table", help="joint distribution polynomial at one length")
-    p.add_argument("--pair", type=_usage(parse_pair), required=True, metavar="A,B")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=_nonnegative, required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="sum over the enumerated class instead of expanding the closed "
-                        "form; defined for every pair, so it also answers for the finite "
-                        "class 123,321, which has no closed form (0 for n >= 5)")
-    add_format(p)
-
-    p = sub.add_parser("map", help="apply one of the statistic-exchanging maps")
-    p.add_argument("--which", choices=sorted(_MAPS), required=True)
-    p.add_argument("--perm", type=_usage(parse_perm), required=True, metavar='"a b c"')
-
-    p = sub.add_parser("verify", help="run the brute-force verification suite")
-    p.add_argument("scope", nargs="?", choices=SCOPES, default="all")
-    p.add_argument("--n-max", type=_nonnegative, default=None)
-
-    p = sub.add_parser("catalog-dump", help="emit every stored formula for audit")
-    add_format(p)
-
+    for name, (summary, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for option in options:
+            if not option.takes_value:
+                command.add_argument(option.flag, action="store_true",
+                                     default=option.default, help=option.help)
+            elif option.flag.startswith("-"):
+                command.add_argument(
+                    option.flag, type=option.parse and _usage(option.parse),
+                    choices=option.choices, required=option.required,
+                    default=option.default, metavar=option.metavar, help=option.help)
+            else:
+                command.add_argument(option.flag, nargs="?", choices=option.choices,
+                                     default=option.default, help=option.help)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     # Building the parser costs about 15 parses, and parsing leaves it as it
-    # was, so main builds it once per process.
+    # was, so main builds it once per process, and only for a request that
+    # the canonical reader leaves to argparse.
     return build_parser()
 
 
-@functools.cache
-def _commands() -> dict[str, argparse.ArgumentParser]:
-    """Each command's own parser, by name, from the one parser ``_parser`` built."""
-    (sub,) = (action for action in _parser()._actions
-              if isinstance(action, argparse._SubParsersAction))
-    return sub.choices
-
-
-def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
     """The namespace one argparse parse gives ``argv`` when it is a
-    canonically spelled request, read off its command parser's own actions;
-    None for any other argv.
+    canonically spelled request, read off :data:`COMMANDS`; None for any
+    other argv.
 
     Canonical means: the first word names a command; every other word is one
-    of that command's full option strings, other than ``-h`` and ``--help``,
-    or that option's value (a ``store_true`` option takes none); no option
-    appears twice; no value starts with ``-``; every required option is
-    present.  Only then is each value converted, by its action's ``type`` and
-    then checked against its ``choices``, and each absent action gets its
-    default.  A value either step rejects is left for argparse to report.
+    of that command's full option strings (so not ``-h``, ``--help`` or a
+    positional) or that option's value (an option that takes no value has
+    none); no option appears twice; no value starts with ``-``; every
+    required option is present.  Only then is each value converted by its
+    option's ``parse`` and then checked against its ``choices``, and each
+    absent option gets its default.  A value either step rejects is left for
+    argparse to report.
     """
-    parser = _commands().get(argv[0]) if argv else None
-    if parser is None:
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
         return None
-    # argparse adds the help action first; it is the only action with a
-    # SUPPRESS default, and no action has both a string default and a type,
-    # so every other absent action's default is its value as it stands.
-    help_action, *actions = parser._actions
     given = {}
     words = iter(argv[1:])
     for word in words:
-        action = parser._option_string_actions.get(word)
-        if action is None or action is help_action or action in given:
+        option = flags.get(word)
+        if option is None or option.dest in given:
             return None
-        if action.nargs == 0:
-            given[action] = action.const
-        else:
+        if option.takes_value:
             value = next(words, "-")
             if value.startswith("-"):
                 return None
-            given[action] = value
-    args = argparse.Namespace()
-    try:
-        for action in actions:
-            if action in given:
-                value = given[action]
-                if action.nargs != 0:
-                    if action.type is not None:
-                        value = action.type(value)
-                    if action.choices is not None and value not in action.choices:
-                        return None
-            elif action.required:
+            given[option.dest] = value
+        else:
+            given[option.dest] = True
+    args = SimpleNamespace(command=argv[0])
+    for option in COMMANDS[argv[0]][1]:
+        if option.dest in given:
+            value = given[option.dest]
+            if option.parse is not None:
+                try:
+                    value = option.parse(value)
+                except ValueError:
+                    return None
+            if option.choices is not None and value not in option.choices:
                 return None
-            else:
-                value = action.default
-            setattr(args, action.dest, value)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return None
-    args.command = argv[0]
+        elif option.required:
+            return None
+        else:
+            value = option.default
+        setattr(args, option.dest, value)
     return args
 
 
@@ -242,7 +269,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    values = stat_vector(args.perm).to_json_obj()
+    from . import stats
+
+    values = stats.stat_vector(args.perm).to_json_obj()
     if args.format == "json":
         fields = ", ".join(f'"{name}": {value}' for name, value in values.items())
         print(f"{{{fields}}}")
@@ -285,7 +314,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    print(format_perm(_MAPS[args.which](args.perm)))
+    from . import bijections
+
+    print(format_perm(getattr(bijections, _MAPS[args.which])(args.perm)))
     return 0
 
 
@@ -342,9 +373,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A canonically spelled request is read off its command's actions with
-    # no parse.  Any other is parsed once, by the top-level parser, which
-    # writes every usage error and help text itself.
+    # A canonically spelled request is read off COMMANDS with no parse.  Any
+    # other is parsed once, by the top-level parser, which writes every usage
+    # error and help text itself.
     args = _read_canonical(argv)
     if args is None:
         args = _parser().parse_args(argv)
@@ -354,7 +385,7 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (NotInClassError, FiniteClassError)) else 2
+        return 1 if isinstance(exc, DataError) else 2
     except BrokenPipeError:
         # The reader closed the pipe.  Python flushes stdout again at exit,
         # so point it at devnull to keep that flush from raising too.

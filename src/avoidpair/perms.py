@@ -283,7 +283,12 @@ CANONICAL_PAIRS: tuple[Pair, ...] = (
 )
 
 
-class FiniteClassError(ValueError):
+class DataError(ValueError):
+    """A well-formed request that the data refuses.  The CLI exits 1 on it,
+    and 2 on any other ``ValueError``."""
+
+
+class FiniteClassError(DataError):
     """Raised when a generating function is requested for {123, 321}.
 
     That class is empty from n = 5 on and has no rational form; use

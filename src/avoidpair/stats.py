@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import FAMILIES
 from .perms import Perm
 
 
@@ -122,13 +123,12 @@ COMPLEMENT_SWAPS = (("asc", "des"), ("lrmax", "lrmin"), ("rlmax", "rlmin"), ("mn
 STAT_SWAPS = {"identity": (), "r": REVERSE_SWAPS, "c": COMPLEMENT_SWAPS,
               "rc": REVERSE_SWAPS + COMPLEMENT_SWAPS}
 
-# Each family's marked statistics, with the ring variable that marks each.
+# Each family of `FAMILIES` (declared in the package root, for the CLI), with
+# its marked statistics and the ring variable that marks each.
 FAMILY_MARKERS = {
     "F": {"asc": "p", "des": "q", "lrmax": "u", "rlmax": "v", "lrmin": "s", "rlmin": "t"},
     "G": {"asc": "p", "des": "q", "mna": "y", "mnd": "z"},
 }
-
-FAMILIES = tuple(FAMILY_MARKERS)
 
 
 def require_family(family: str) -> str:

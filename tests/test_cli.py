@@ -10,6 +10,7 @@ import math
 import os
 import random
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -483,7 +484,8 @@ class TestOneErrorPath:
         (ValueError("boom"), 2),
         (NotInClassError((2, 3, 1), (2, 3, 1), (1, 2, 3)), 1),
         (FiniteClassError("boom"), 1),
-    ], ids=["ValueError", "NotInClassError", "FiniteClassError"])
+        (perms.DataError("boom"), 1),
+    ], ids=["ValueError", "NotInClassError", "FiniteClassError", "DataError"])
     def test_a_rejected_request_exits_with_its_code_and_one_line(
             self, capsys, monkeypatch, command, name, error, code):
         def reject(*args):
@@ -491,6 +493,11 @@ class TestOneErrorPath:
 
         monkeypatch.setattr(cli, name, reject)
         assert run_cli(capsys, *command) == (code, "", f"error: {error}\n")
+
+    def test_every_data_error_is_one_class(self):
+        assert issubclass(NotInClassError, perms.DataError)
+        assert issubclass(FiniteClassError, perms.DataError)
+        assert issubclass(perms.DataError, ValueError)
 
     def test_only_main_writes_an_error_line(self):
         source = Path(cli.__file__).read_text()
@@ -583,17 +590,22 @@ class TestSharedParser:
                 fresh.returncode, fresh.stdout, fresh.stderr), argv
 
     def test_main_builds_the_parser_once(self, capsys, monkeypatch):
-        assert run_cli(capsys, "count", "--pair", "123,132", "--n", "3") == (0, "4\n", "")
+        # abbreviated, so that argparse parses it
+        assert run_cli(capsys, "count", "--pa", "123,132", "--n", "3") == (0, "4\n", "")
         monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
-        assert run_cli(capsys, "count", "--pair", "123,132", "--n", "4") == (0, "8\n", "")
+        assert run_cli(capsys, "count", "--pa", "123,132", "--n", "4") == (0, "8\n", "")
 
 
 class TestOneParse:
-    """main reads a canonically spelled request off its command's own
-    actions, with no argparse parse, and parses any other once, with the
-    top-level parser; either way it gets what one parse by the top-level
-    parser gets: the same namespace, or the same exit code, stdout and
-    stderr."""
+    """main reads a canonically spelled request off the option table, with
+    no argparse parse, and parses any other once, with the top-level parser;
+    either way it gets what one parse by the top-level parser gets: a
+    namespace with the same attributes, or the same exit code, stdout and
+    stderr.
+
+    Namespaces are compared by ``vars()``: the reader's SimpleNamespace and
+    argparse's Namespace never compare equal to each other, and
+    ``Namespace.__eq__`` itself compares exactly ``vars()``."""
 
     ARGVS = [
         (),
@@ -680,16 +692,32 @@ class TestOneParse:
         seen = []
         monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, seen.append))
         got = self.outcome(capsys, lambda: main(list(argv)))
-        assert (seen[0] if seen else got) == expected
+        if seen:
+            assert isinstance(expected, argparse.Namespace) and vars(seen[0]) == vars(expected)
+        else:
+            assert got == expected
 
-    def test_every_absent_action_takes_its_default_as_it_stands(self):
-        # what the canonical reader assumes of the command parsers' actions
-        for parser in cli._commands().values():
-            help_action, *actions = parser._actions
+    def test_the_table_and_the_built_parser_agree_on_every_option(self):
+        (sub,) = (action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli.COMMANDS)
+        for name, (_, options) in cli.COMMANDS.items():
+            help_action, *actions = sub.choices[name]._actions
             assert isinstance(help_action, argparse._HelpAction)
-            for action in actions:
-                assert action.default is not argparse.SUPPRESS
+            assert len(actions) == len(options)
+            for option, action in zip(options, actions):
+                positional = not option.flag.startswith("-")
+                assert action.option_strings == ([] if positional else [option.flag])
+                assert action.dest == option.dest
+                # each value parser, wrapped so argparse reports its ValueError
+                assert getattr(action.type, "__wrapped__", None) is option.parse
+                assert action.choices == option.choices
+                assert action.required == option.required
+                # no default is a string that argparse would convert
+                assert action.default == option.default
                 assert not (isinstance(action.default, str) and action.type is not None)
+                assert action.nargs == ("?" if positional else None if option.takes_value
+                                        else 0)
 
     def test_a_well_formed_request_is_parsed_once(self, capsys, monkeypatch):
         parses = []
@@ -720,6 +748,55 @@ class TestOneParse:
         assert err.endswith("\navoidpair: error: unrecognized arguments: extra\n")
 
 
+# Help for the program and each command, then usage errors that argparse
+# reports and a few that a handler reports, recorded in cli_usage.txt.
+USAGE_ARGVS = [
+    ("--help",),
+    *((command, "--help") for command in (
+        "count", "enumerate", "stats", "table", "map", "verify", "catalog-dump")),
+    (),
+    ("tabel",),
+    ("count", "--pair", "123,132"),
+    ("count", "--pair", "123,132", "--n", "x"),
+    ("count", "--pair", "123,132", "--n", "-3"),
+    ("count", "--pair", "1x3,132", "--n", "3"),
+    ("count", "--pair", "123,123", "--n", "3"),
+    ("count", "--pair", "123,132", "--n", "3", "--bogus"),
+    ("count", "--pair", "123,132", "--n", "3", "extra"),
+    ("count", "--pair", "213,231", "--n", "14286"),
+    ("enumerate", "--pair", "132,213", "--n", "4", "--format", "xml"),
+    ("stats", "--perm", "1 1"),
+    ("table", "--pair", "231,312", "--family", "H", "--n", "3"),
+    ("table", "--pair", "123,321", "--family", "G", "--n", "3"),
+    ("map", "--which", "h", "--perm", "1"),
+    ("map", "--which", "f", "--perm", "2 3 1"),
+    ("verify", "bogus"),
+    ("verify", "--n-max", "x"),
+    ("verify", "maps", "--n-max", "0"),
+    ("catalog-dump", "--format"),
+]
+
+
+def usage_transcript():
+    """Each ``USAGE_ARGVS`` request's exit code, stdout and stderr, in turn."""
+    blocks = []
+    for argv in USAGE_ARGVS:
+        result, out, err = captured(lambda: main(list(argv)))
+        code = result.code if isinstance(result, SystemExit) else result
+        blocks.append(f"$ {shlex.join(['avoidpair', *argv])}\nexit {code}\n"
+                      f"--- stdout\n{out}--- stderr\n{err}")
+    return "".join(blocks)
+
+
+class TestGoldenUsage:
+    """Help and usage texts, byte for byte as recorded, at 80 columns."""
+
+    def test_help_and_usage_errors_match_the_recorded_transcript(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width help is wrapped to
+        expected = (Path(__file__).parent / "data" / "cli_usage.txt").read_bytes()
+        assert usage_transcript().encode() == expected
+
+
 # --n and --n-max values: every short length, each class's first length past
 # its enumeration limit, and lengths far past every limit.
 LENGTHS = [str(n) for n in range(9)] + sorted(
@@ -747,26 +824,25 @@ def requests(draw):
     """An argv for any command: each option spelled in full, as
     ``--opt=value`` or abbreviated, sometimes with a required option left
     out, ``--``, ``-h``, a duplicate or a leftover word added."""
-    command = draw(st.sampled_from([*cli._commands(), "tabel", None]))
+    command = draw(st.sampled_from([*cli.COMMANDS, "tabel", None]))
     if command is None:
         return []
-    if command not in cli._commands():
+    if command not in cli.COMMANDS:
         return [command]
-    options = [action for action in cli._commands()[command]._actions
-               if action.option_strings and not isinstance(action, argparse._HelpAction)]
+    options = [option for option in cli.COMMANDS[command][1] if option.flag.startswith("-")]
     # verify without --n-max runs the whole default suite
-    chosen = [action for action in options if action.required or action.dest == "n_max"
+    chosen = [option for option in options if option.required or option.dest == "n_max"
               or draw(st.booleans())]
     if chosen and draw(st.integers(0, 9)) == 0:
         chosen.remove(draw(st.sampled_from(chosen)))
-    oracle = any(action.dest == "oracle" for action in chosen)
+    oracle = any(option.dest == "oracle" for option in chosen)
 
-    def spell(action, odds=7):
-        name = action.option_strings[0]
+    def spell(option, odds=7):
+        name = option.flag
         good, bad = VALUES.get(name, ((), ()))
         if name == "--n" and command == "table" and not oracle:
             good = TABLE_LENGTHS
-        value = None if action.nargs == 0 else draw(
+        value = None if not option.takes_value else draw(
             st.sampled_from(good if draw(st.integers(0, odds)) else bad))
         spelling = draw(st.sampled_from(["full"] * 10 + ["equals", "abbreviated"]))
         if spelling == "equals":
@@ -815,7 +891,7 @@ class TestRequestContract:
         if isinstance(parsed, SystemExit):
             assert (got.code, got_written) == (parsed.code, written)
         else:
-            assert seen == [parsed] and written == ["", ""]
+            assert [vars(args) for args in seen] == [vars(parsed)] and written == ["", ""]
 
         result, out, err = captured(lambda: main(argv))
         code = result.code if isinstance(result, SystemExit) else result
@@ -1023,7 +1099,31 @@ class TestColdStartImports:
         code, output, loaded = self.loaded_by("count", "--pair", "123,132", "--n", "10")
         assert (code, output) == (0, ["512"])
         assert not loaded & {"avoidpair.polys", "avoidpair.catalog", "avoidpair.verify",
-                             "dataclasses", "json", "csv"}
+                             "dataclasses", "json", "csv", "argparse", "avoidpair.stats",
+                             "avoidpair.bijections"}
+
+    @pytest.mark.parametrize("argv, unused", [
+        (("stats", "--perm", "3 4 1 5 2"), "avoidpair.bijections"),
+        (("map", "--which", "g", "--perm", "1 3 2"), "avoidpair.stats"),
+    ], ids=lambda value: value if isinstance(value, str) else " ".join(value))
+    def test_stats_and_map_load_only_their_own_module(self, argv, unused):
+        code, output, loaded = self.loaded_by(*argv)
+        assert code == 0 and output and unused not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--pair", "123,132", "--n", "3"),
+        ("enumerate", "--n", "3", "--pair", "231,312", "--format", "csv"),
+        ("stats", "--perm", "2 1 3"),
+        ("table", "--pair", "231,312", "--family", "G", "--n", "3", "--oracle"),
+        ("map", "--which", "f", "--perm", "1 3 2"),
+        ("verify", "--n-max", "2"),
+        ("catalog-dump", "--format", "csv"),
+    ], ids=" ".join)
+    def test_a_canonical_request_builds_no_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built"))
+        monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("parser used"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize("argv", [
         ("stats", "--perm", "3 4 1 5 2"),
@@ -1033,7 +1133,8 @@ class TestColdStartImports:
     def test_brute_force_commands_load_no_closed_form_or_verify_module(self, argv):
         code, output, loaded = self.loaded_by(*argv)
         assert code == 0 and output
-        assert not loaded & {"avoidpair.polys", "avoidpair.catalog", "avoidpair.verify"}
+        assert not loaded & {"avoidpair.polys", "avoidpair.catalog", "avoidpair.verify",
+                             "argparse"}
 
     @pytest.mark.parametrize("argv", [
         ("table", "--pair", "231,312", "--family", "G", "--n", "3"),

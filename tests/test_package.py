@@ -52,6 +52,9 @@ def test_moved_names_are_re_exported_as_the_same_objects():
     assert avoidpair.FiniteClassError is perms.FiniteClassError is catalog.FiniteClassError
     assert stats.FAMILIES is catalog.FAMILIES and stats.FAMILY_MARKERS is catalog.FAMILY_MARKERS
     assert avoidpair.SCOPES is verify.SCOPES
+    # declared in the package root for the CLI, and pinned to the families
+    # that stats marks
+    assert avoidpair.FAMILIES is stats.FAMILIES == tuple(stats.FAMILY_MARKERS)
     assert avoidpair.brute_distribution is oracle.brute_distribution is verify.brute_distribution
 
 
