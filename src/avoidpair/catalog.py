@@ -18,7 +18,6 @@ only has a counting formula.
 
 from __future__ import annotations
 
-import math
 from functools import cache, lru_cache
 
 from ._record import Record
@@ -61,39 +60,33 @@ class CatalogEntry(Record):
 
     ``gf`` is the working form whose expansion matches enumeration.  ``raw``
     is the form exactly as transcribed; it differs from ``gf`` only when the
-    transcription failed the oracle, in which case ``oracle_corrected`` is
-    set and ``note`` records the adjustment.
+    transcription failed the oracle, and then ``oracle_corrected`` is set
+    and ``note`` records the adjustment.
     """
 
     _compared = ("gf", "raw", "oracle_corrected", "note")
 
-    def __init__(self, gf: RationalGF, raw: RationalGF, oracle_corrected: bool = False,
-                 note: str = ""):
-        self._set(gf=gf, raw=raw, oracle_corrected=oracle_corrected, note=note)
+    def __init__(self, gf: RationalGF, raw: RationalGF, note: str = ""):
+        self._set(gf=gf, raw=raw, oracle_corrected=raw != gf, note=note)
 
 
 _PAIR_123_132, _PAIR_132_321, _PAIR_231_312, _PAIR_213_231, _PAIR_213_312, _ = CANONICAL_PAIRS
 
 
 def _entry(num: MultiPoly, *den_factors: MultiPoly) -> CatalogEntry:
-    # The denominator is the product of den_factors, which polys.expand
-    # divides by one at a time.  Where the transcription writes a product of
-    # linear-in-x factors they are passed apart, in the order whose
-    # expansion to n = 30 makes the fewest multiply-adds (the order changes
-    # the intermediate series, not the result).  A power of one factor, such
-    # as the 132,321 G cube, stays one stage: that expands faster than three.
-    first, *rest = den_factors
-    gf = RationalGF(num, math.prod(rest, start=first), den_factors)
-    return CatalogEntry(gf=gf, raw=gf)
+    # RationalGF keeps den_factors, which polys.expand divides by one at a
+    # time, and multiplies them out once for the denominator.  Where the
+    # transcription writes a product of linear-in-x factors they are passed
+    # apart, in the order whose expansion to n = 30 makes the fewest
+    # multiply-adds (the order changes the intermediate series, not the
+    # result).  A power of one factor, such as the 132,321 G cube, stays one
+    # stage: that expands faster than three.
+    gf = RationalGF(num, den_factors)
+    return CatalogEntry(gf, gf)
 
 
 def _corrected(num, den, raw_num, raw_den, note: str) -> CatalogEntry:
-    return CatalogEntry(
-        gf=RationalGF(num, den),
-        raw=RationalGF(raw_num, raw_den),
-        oracle_corrected=True,
-        note=note,
-    )
+    return CatalogEntry(RationalGF(num, den), RationalGF(raw_num, raw_den), note)
 
 
 @lru_cache(maxsize=1)

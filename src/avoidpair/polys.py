@@ -284,14 +284,14 @@ class MultiPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def substitute_one(self, name: str) -> "MultiPoly":
-        """Set a variable to 1: drop its exponents and merge like terms.
+    def substitute_one(self, *names: str) -> "MultiPoly":
+        """Set each named variable to 1: drop its exponents and merge like terms.
 
         >>> p, q, y, z = map(MultiPoly.var, "pqyz")
-        >>> print((p**2*y + 2*p*q*y*z + q**2*z).substitute_one("y").substitute_one("z"))
+        >>> print((p**2*y + 2*p*q*y*z + q**2*z).substitute_one("y", "z"))
         p^2 + 2 p q + q^2
         """
-        keep = ~(_FIELD_MAX << _shift_of(name))
+        keep = ~reduce(or_, (_FIELD_MAX << _shift_of(name) for name in names), 0)
         terms: dict[int, int] = {}
         for key, coeff in self._terms.items():
             key &= keep
@@ -446,9 +446,10 @@ class RationalGF(Record):
     Each part is a :class:`MultiPoly` or an int, which is taken as the
     constant polynomial, as in ``MultiPoly`` arithmetic.
 
-    ``den_factors`` optionally records the denominator as a product of
-    factors, each with constant term 1, which :func:`expand` divides by one
-    at a time.  It defaults to ``(den,)`` and takes no part in ``==``,
+    ``den`` is one polynomial or a tuple of factors, each with constant
+    term 1.  The factors are kept as ``den_factors``, which :func:`expand`
+    divides by one at a time, and their product as ``den``; one polynomial
+    is the one-factor case.  ``den_factors`` takes no part in ``==``,
     ``hash`` or ``repr``: it is a way of computing with ``den``, not part of
     the value.  Neither is the expansion plan that the first :func:`expand`
     or :func:`coefficient` of a form builds and keeps on the instance (its
@@ -457,26 +458,23 @@ class RationalGF(Record):
     do only the work that depends on their n.
 
     >>> x, q = MultiPoly.var("x"), MultiPoly.var("q")
-    >>> gf = RationalGF(MultiPoly.one(), (1 - x) * (1 - q*x), (1 - x, 1 - q*x))
+    >>> gf = RationalGF(MultiPoly.one(), (1 - x, 1 - q*x))
     >>> gf == RationalGF(MultiPoly.one(), 1 - x - q*x + q*x**2)
     True
     """
 
     _compared = ("num", "den")
 
-    def __init__(self, num: MultiPoly | int, den: MultiPoly | int,
-                 den_factors: tuple[MultiPoly | int, ...] = ()):
-        num, den = _part(num), _part(den)
-        den_factors = tuple(map(_part, den_factors))
-        if den.constant_term() != 1:
-            raise ValueError("denominator constant term must be 1")
-        if den_factors:
-            if any(factor.constant_term() != 1 for factor in den_factors):
-                raise ValueError("denominator factor constant terms must be 1")
-            first, *rest = den_factors
-            if math.prod(rest, start=first) != den:
-                raise ValueError("denominator factors do not multiply to the denominator")
-        self._set(num=num, den=den, den_factors=den_factors or (den,))
+    def __init__(self, num: MultiPoly | int,
+                 den: MultiPoly | int | tuple[MultiPoly | int, ...]):
+        num = _part(num)
+        factors = tuple(map(_part, den)) if isinstance(den, tuple) else (_part(den),)
+        if not factors:
+            raise ValueError("denominator needs at least one factor")
+        if any(factor.constant_term() != 1 for factor in factors):
+            raise ValueError("denominator constant term must be 1, and so must each factor's")
+        first, *rest = factors
+        self._set(num=num, den=math.prod(rest, start=first), den_factors=factors)
 
     @cached_property
     def _plan(self) -> tuple:
@@ -500,26 +498,23 @@ class RationalGF(Record):
         return degrees, num_slices, stages
 
     def _image(self, image) -> "RationalGF":
-        factors = self.den_factors
-        return RationalGF(image(self.num), image(self.den),
-                          tuple(map(image, factors)) if len(factors) > 1 else ())
+        return RationalGF(image(self.num), tuple(map(image, self.den_factors)))
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalGF":
         return self._image(lambda poly: poly.rename(mapping))
 
     def substitute_one(self, *names: str) -> "RationalGF":
-        return self._image(lambda poly: reduce(MultiPoly.substitute_one, names, poly))
+        return self._image(lambda poly: poly.substitute_one(*names))
 
 
 class SeriesTable(Record):
-    """Exact x-power-series coefficients ``coeffs[k]`` for k = 0..n_max."""
+    """Exact x-power-series coefficients ``coeffs[k]`` for k = 0..n_max,
+    where ``n_max`` is ``len(coeffs) - 1``."""
 
     _compared = ("n_max", "coeffs")
 
-    def __init__(self, n_max: int, coeffs: tuple[MultiPoly, ...]):
-        if len(coeffs) != n_max + 1:
-            raise ValueError("need exactly n_max + 1 coefficients")
-        self._set(n_max=n_max, coeffs=coeffs)
+    def __init__(self, coeffs: tuple[MultiPoly, ...]):
+        self._set(n_max=len(coeffs) - 1, coeffs=coeffs)
 
     def to_json_obj(self) -> dict:
         return {
@@ -575,7 +570,7 @@ def expand(gf: RationalGF, n_max: int) -> SeriesTable:
     >>> [str(c) for c in expand(RationalGF(one, 1 - x), 3).coeffs]
     ['1', '1', '1', '1']
     """
-    return SeriesTable(n_max, tuple(map(MultiPoly._raw, _packed_series(gf, n_max))))
+    return SeriesTable(tuple(map(MultiPoly._raw, _packed_series(gf, n_max))))
 
 
 def coefficient(gf: RationalGF, n: int) -> MultiPoly:

@@ -69,13 +69,15 @@ _MAP_PAIRS = (LAYERED_PAIR, RUN_PAIR, _PREFIX_PAIR)
 
 
 class VerifyReport(Record):
-    """Outcome of one check; ``first_discrepancy`` is present iff it failed."""
+    """Outcome of one check; ``status`` is "fail" when ``first_discrepancy``
+    is given and "pass" when it is None."""
 
     _compared = ("name", "pair", "family", "n_range", "status", "first_discrepancy")
 
     def __init__(self, name: str, pair: str | None, family: str | None,
-                 n_range: tuple[int, int], status: str, first_discrepancy: dict | None = None):
-        self._set(name=name, pair=pair, family=family, n_range=n_range, status=status,
+                 n_range: tuple[int, int], first_discrepancy: dict | None = None):
+        self._set(name=name, pair=pair, family=family, n_range=n_range,
+                  status="pass" if first_discrepancy is None else "fail",
                   first_discrepancy=first_discrepancy)
 
     @property
@@ -89,14 +91,8 @@ class VerifyReport(Record):
 
 
 def _report(name, pair, family, n_range, discrepancy=None) -> VerifyReport:
-    return VerifyReport(
-        name=name,
-        pair=format_pair(pair) if pair is not None else None,
-        family=family,
-        n_range=n_range,
-        status="fail" if discrepancy else "pass",
-        first_discrepancy=discrepancy,
-    )
+    return VerifyReport(name, format_pair(pair) if pair is not None else None, family,
+                        n_range, discrepancy)
 
 
 def _check_range(n_max, first: int, pairs: Iterable[Pair]) -> None:

@@ -56,7 +56,7 @@ def reference_expand(gf: RationalGF, n_max: int) -> SeriesTable:
                 break
             c = c - den_slices[j] * coeffs[k - j]
         coeffs.append(c)
-    return SeriesTable(n_max, tuple(coeffs))
+    return SeriesTable(tuple(coeffs))
 
 
 def expand_checked(gf: RationalGF, n_max: int) -> SeriesTable:
@@ -124,9 +124,10 @@ class RefPoly:
             return tuple(new)
         return _ref_collect((moved(e), c) for e, c in self.terms.items())
 
-    def substitute_one(self, name):
-        i = VARS.index(name)
-        return _ref_collect((e[:i] + (0,) + e[i + 1:], c) for e, c in self.terms.items())
+    def substitute_one(self, *names):
+        dropped = {VARS.index(name) for name in names}
+        return _ref_collect((tuple(0 if i in dropped else k for i, k in enumerate(e)), c)
+                            for e, c in self.terms.items())
 
     def x_slices(self):
         slices = {}
@@ -369,9 +370,9 @@ class TestAgainstTupleReference:
     @settings(max_examples=300, deadline=None)
     @given(poly_pairs(), poly_pairs(), st.integers(0, 3),
            st.lists(st.sampled_from(VARS), unique=True), st.permutations(VARS),
-           st.sampled_from(VARS),
+           st.lists(st.sampled_from(VARS), max_size=4),
            st.fixed_dictionaries({name: st.integers(-1, 1) for name in VARS}))
-    def test_operations_match(self, a_pair, b_pair, n, sources, targets, name, point):
+    def test_operations_match(self, a_pair, b_pair, n, sources, targets, names, point):
         (a, ref_a), (b, ref_b) = a_pair, b_pair
         assert_matches(a, ref_a)
         assert_matches(outcome(lambda: a + b), outcome(lambda: ref_a + ref_b))
@@ -381,7 +382,7 @@ class TestAgainstTupleReference:
         mapping = dict(zip(sources, targets))
         assert_matches(outcome(lambda: a.rename(mapping)),
                        outcome(lambda: ref_a.rename(mapping)))
-        assert_matches(a.substitute_one(name), ref_a.substitute_one(name))
+        assert_matches(a.substitute_one(*names), ref_a.substitute_one(*names))
         assert {d: part.terms() for d, part in a.x_slices().items()} == {
             d: RefPoly(part).sorted_terms() for d, part in ref_a.x_slices().items()}
         assert a.evaluate(point) == ref_a.evaluate(point)
@@ -395,7 +396,7 @@ class TestSubstituteAndRename:
     def test_substitute_one_merges_like_terms(self):
         # joint distribution at n = 3 for the layered class, specialized
         poly = P**2 * Y + 2 * P * Q * Y * Z + Q**2 * Z
-        assert poly.substitute_one("y").substitute_one("z") == P**2 + 2 * P * Q + Q**2
+        assert poly.substitute_one("y", "z") == P**2 + 2 * P * Q + Q**2
 
     def test_substitute_absent_variable_is_identity(self):
         poly = 1 + X * P
@@ -415,6 +416,7 @@ class TestSubstituteAndRename:
     @pytest.mark.parametrize("call", [
         lambda: (1 + X * P).substitute_one("w"),
         lambda: MultiPoly.zero().substitute_one("w"),
+        lambda: (1 + X * P).substitute_one("p", "w"),
         lambda: (1 + X * P).rename({"w": "p"}),
         lambda: (1 + X * P).rename({"p": "w"}),
         lambda: (1 + X * P).degree_in("w"),
@@ -423,9 +425,9 @@ class TestSubstituteAndRename:
         lambda: RationalGF(MultiPoly.one(), 1 - X).rename({"w": "p"}),
         lambda: RationalGF(MultiPoly.one(), 1 - X).rename({"p": "w"}),
         lambda: MultiPoly.from_json_terms([{"exponents": {"w": 1}, "coeff": "1"}]),
-    ], ids=["substitute_one", "substitute_one-zero", "rename-key", "rename-value",
-            "degree_in", "degree_in-zero", "gf-substitute_one", "gf-rename-key",
-            "gf-rename-value", "from_json_terms"])
+    ], ids=["substitute_one", "substitute_one-zero", "substitute_one-second", "rename-key",
+            "rename-value", "degree_in", "degree_in-zero", "gf-substitute_one",
+            "gf-rename-key", "gf-rename-value", "from_json_terms"])
     def test_unknown_variable_is_a_value_error(self, call):
         with pytest.raises(ValueError, match=(
                 r"^unknown variable 'w'; ring variables are \('x', 'p', .*, 'z'\)$")):
@@ -549,10 +551,10 @@ class TestExpand:
         assert list(expand(RationalGF(1, 1 - X), 3).coeffs) == [MultiPoly.one()] * 4
         assert RationalGF(X, 1) == RationalGF(X, MultiPoly.one())
         assert list(expand(RationalGF(X, 1), 2).coeffs) == [0, 1, 0]
-        assert RationalGF(X, 1 - X, (1, 1 - X)) == RationalGF(X, 1 - X)
+        assert RationalGF(X, (1, 1 - X)) == RationalGF(X, 1 - X)
 
     @pytest.mark.parametrize("parts", [
-        (1.0, 1 - X), (X, True), ("1", 1 - X), (X, 1 - X, (None,)),
+        (1.0, 1 - X), (X, True), ("1", 1 - X), (X, (1 - X, None)),
     ], ids=["float-num", "bool-den", "str-num", "none-factor"])
     def test_other_parts_are_rejected(self, parts):
         with pytest.raises(ValueError, match="^a RationalGF part must be a MultiPoly or an int"):
@@ -590,10 +592,6 @@ class TestExpand:
         for call in (expand, coefficient):
             with pytest.raises(ValueError, match=f"^n_max must be an int, got {n_max!r}$"):
                 call(gf, n_max)
-
-    def test_series_table_validates_length(self):
-        with pytest.raises(ValueError):
-            SeriesTable(2, (MultiPoly.one(),))
 
     def test_series_table_json(self):
         table = expand(RationalGF(MultiPoly.one(), 1 - X), 1)
@@ -680,7 +678,7 @@ class TestPackedKernel:
 
 class TestStagedKernel:
     """expand divides by each of den_factors in turn: the same series as the
-    multiplied-out denominator, which RationalGF checks the factors against."""
+    multiplied-out denominator, which RationalGF computes from the factors."""
 
     @settings(deadline=None)  # the reference multiplies whole MultiPolys
     @given(
@@ -691,8 +689,8 @@ class TestStagedKernel:
     def test_random_factor_lists_match_the_reference(self, num, factor_tails, n_max):
         factors = tuple(1 + tail for tail in factor_tails)
         den = math.prod(factors, start=MultiPoly.one())
-        staged = RationalGF(num, den, factors)
-        assert staged.den_factors == factors
+        staged = RationalGF(num, factors)
+        assert staged.den_factors == factors and staged.den == den
         table = expand_checked(staged, n_max)
         assert table == reference_expand(RationalGF(num, den), n_max)
 
@@ -706,7 +704,7 @@ class TestStagedKernel:
         # num = den * quotient: past deg_x(quotient) every coefficient cancels to 0
         factors = tuple(1 + tail for tail in factor_tails)
         den = math.prod(factors, start=MultiPoly.one())
-        gf = RationalGF(den * quotient, den, factors)
+        gf = RationalGF(den * quotient, factors)
         table = expand_checked(gf, n_max)
         slices = quotient.x_slices()
         assert list(table.coeffs) == [slices.get(k, MultiPoly.zero()) for k in range(n_max + 1)]
@@ -724,7 +722,7 @@ class TestStagedKernel:
     ], ids=["minus-one", "plus-one", "two-and-minus-three"])
     def test_each_coefficient_branch_matches_the_reference(self, num, factors):
         den = math.prod(factors, start=MultiPoly.one())
-        gf = RationalGF(num, den, factors)
+        gf = RationalGF(num, factors)
         table = expand(gf, 12)
         assert table == reference_expand(RationalGF(num, den), 12)
         assert coefficient(gf, 12) == table.coeffs[12]
@@ -734,56 +732,45 @@ class TestStagedKernel:
         den = 1 - X - Q * X
         assert RationalGF(MultiPoly.one(), den).den_factors == (den,)
 
-    def test_rejects_factors_that_do_not_multiply_to_the_denominator(self):
-        with pytest.raises(ValueError, match="multiply"):
-            RationalGF(MultiPoly.one(), (1 - X) * (1 - Q * X), (1 - X, 1 - P * X))
-        with pytest.raises(ValueError, match="multiply"):
-            RationalGF(MultiPoly.one(), (1 - X) * (1 - Q * X), (1 - X,))
-
     def test_rejects_factors_whose_constant_term_is_not_1(self):
         # the product still has constant term 1
-        with pytest.raises(ValueError, match="factor constant"):
-            RationalGF(MultiPoly.one(), (1 - X) * (1 - Q * X), (X - 1, Q * X - 1))
+        with pytest.raises(ValueError, match="constant term must be 1"):
+            RationalGF(MultiPoly.one(), (X - 1, Q * X - 1))
 
     def test_rejects_factors_whose_x_free_part_is_not_1(self):
-        # constant terms 1 and the product matches, but the first stage
-        # cannot divide by 1 + v
-        gf = RationalGF(MultiPoly.one(), (1 + V) * (1 - X), (1 + V, 1 - X))
+        # constant terms 1, but the first stage cannot divide by 1 + v
+        gf = RationalGF(MultiPoly.one(), (1 + V, 1 - X))
         with pytest.raises(ValueError, match="x-free part"):
             expand(gf, 3)
         with pytest.raises(ValueError, match="x-free part"):
             coefficient(gf, 3)
 
     def test_rename_and_substitute_one_map_each_factor(self):
-        # Each image is built through the checking constructor from the
-        # images of the factors, which keep multiplying to the denominator.
+        # Each image is built through the constructor from the images of the
+        # factors, whose product is the image of the denominator.
         mapping = {"p": "q", "q": "p", "u": "t", "t": "u"}
         for pair in INFINITE_PAIRS:
             for family in FAMILIES:
                 gf = gf_for(pair, family)
-                images = [
-                    (gf, list(gf.den_factors)),
-                    (gf.rename(mapping), [f.rename(mapping) for f in gf.den_factors]),
-                    (gf.substitute_one("q", "s"),
-                     [f.substitute_one("q").substitute_one("s") for f in gf.den_factors]),
-                ] + [
-                    (gf.substitute_one(var), [f.substitute_one(var) for f in gf.den_factors])
-                    for var in FAMILY_MARKERS[family].values()
-                ]
-                for image, factors in images:
-                    assert list(image.den_factors) == factors
-                    assert math.prod(factors, start=MultiPoly.one()) == image.den
+                ops = [("rename", (mapping,)), ("substitute_one", ("q", "s"))] + [
+                    ("substitute_one", (var,)) for var in FAMILY_MARKERS[family].values()]
+                for name, args in ops:
+                    image = getattr(gf, name)(*args)
+                    assert image.num == getattr(gf.num, name)(*args)
+                    assert image.den == getattr(gf.den, name)(*args)
+                    assert image.den_factors == tuple(
+                        getattr(factor, name)(*args) for factor in gf.den_factors)
 
     def test_images_still_check_each_factor_constant_term(self):
         # setting p to 1 leaves the product's constant term 1 but not the factors'
         first, second = 1 - 2*P + X, 1 - 2*P - X
-        gf = RationalGF(MultiPoly.one(), first * second, (first, second))
-        with pytest.raises(ValueError, match="factor constant"):
+        gf = RationalGF(MultiPoly.one(), (first, second))
+        with pytest.raises(ValueError, match="constant term must be 1"):
             gf.substitute_one("p")
 
     def test_factors_take_no_part_in_eq_hash_or_repr(self):
         num, den = 1 - Q * X, (1 - X) * (1 - Q * X)
-        plain, staged = RationalGF(num, den), RationalGF(num, den, (1 - X, 1 - Q * X))
+        plain, staged = RationalGF(num, den), RationalGF(num, (1 - X, 1 - Q * X))
         assert plain == staged and hash(plain) == hash(staged)
         assert repr(staged) == repr(plain) == f"RationalGF(num={num!r}, den={den!r})"
 
@@ -832,8 +819,7 @@ class TestExpansionPlan:
 
     @staticmethod
     def staged_form():
-        return RationalGF(1 - Q * X, (1 - X) * (1 - Q * X) * (1 - P * X**2),
-                          (1 - X, 1 - Q * X, 1 - P * X**2))
+        return RationalGF(1 - Q * X, (1 - X, 1 - Q * X, 1 - P * X**2))
 
     @pytest.mark.parametrize("first", [expand, coefficient])
     @pytest.mark.parametrize("second", [expand, coefficient])
@@ -850,7 +836,7 @@ class TestExpansionPlan:
 
     def test_a_plan_that_raises_is_not_kept(self, monkeypatch):
         calls = self.counting(monkeypatch)
-        gf = RationalGF(MultiPoly.one(), (1 + V) * (1 - X), (1 + V, 1 - X))
+        gf = RationalGF(MultiPoly.one(), (1 + V, 1 - X))
         messages = []
         for expansion in (expand, coefficient, expand):
             with pytest.raises(ValueError) as exc:
