@@ -244,8 +244,9 @@ def transfer_map(perm: Perm) -> Perm:
 def transfer_image(member: Perm) -> Perm:
     """``transfer_map`` of a layered member given as a tuple, with no check.
 
-    Each cut c of the argument (an ascent) becomes the image's cut n - c.
-    The same caveat as for :func:`complement_image` holds.
+    Each cut c of the argument (an ascent) becomes the image's cut n - c,
+    so the image is cut at i exactly when n - i is an ascent of the
+    argument: a descent at i of the argument read backwards.  The same
+    caveat as for :func:`complement_image` holds.
     """
-    n = len(member)
-    return _runs([n - c for c in reversed(_cuts(member, lt))], n)
+    return _runs(_cuts(member[::-1], gt), len(member))

@@ -12,7 +12,7 @@ from collections import Counter
 from operator import itemgetter
 
 from . import stats
-from .perms import Pair, class_members
+from .perms import Pair, _member_stream
 from .polys import _FIELD_BITS, _FIELD_MAX, _LAYOUT, _SHIFT, _X_SHIFT, MultiPoly
 
 # Each statistic is marked by the same ring variable in every family that
@@ -33,8 +33,9 @@ _FAMILY_MASKS = {family: sum(_FIELD_MAX << _SHIFT[var] for var in markers.values
 def _joint_counts(pair: Pair, n: int, joint: dict | None) -> dict[int, int]:
     """Members of the class at length n counted by their eight-statistic key.
 
-    Members are read in generation order, from
-    :func:`~avoidpair.perms.class_members`, since counting needs no sort.  A
+    Members are read in generation order, since counting needs no sort, and
+    one at a time: a non-canonical class's images are mapped as they are
+    counted, so none of its member tuples is built as a whole.  A
     key packs a member's eight statistics into the fields of their ring
     variables (one struct pack per distinct statistic vector).  ``joint``,
     when given, is a ``{(pair, n): counts}`` dict: a table found there is
@@ -42,7 +43,7 @@ def _joint_counts(pair: Pair, n: int, joint: dict | None) -> dict[int, int]:
     """
     counts = None if joint is None else joint.get((pair, n))
     if counts is None:
-        vectors = Counter(map(stats.stat_vector, class_members(pair, n)))
+        vectors = Counter(map(stats.stat_vector, _member_stream(pair, n)))
         counts = {int.from_bytes(_PACK_STATS(*_STATS_IN_FIELD_ORDER(vec)), "little"): count
                   for vec, count in vectors.items()}
         if joint is not None:

@@ -82,7 +82,12 @@ def complement(perm: Perm) -> Perm:
 
 
 def reverse_complement(perm: Perm) -> Perm:
-    return complement(reverse(perm))
+    """`complement` of `reverse`, in one pass.
+
+    >>> reverse_complement((3, 4, 1, 5, 2))
+    (4, 1, 5, 2, 3)
+    """
+    return tuple(map(sub, itertools.repeat(len(perm) + 1), reversed(perm)))
 
 
 def inverse(perm: Perm) -> Perm:
@@ -443,19 +448,28 @@ def _generated_at(pair: Pair, n: int) -> tuple[tuple[Perm, ...], str]:
     return _CANONICAL_GENERATORS[canonical](n), op
 
 
+def _member_stream(pair: Pair, n: int) -> Iterable[Perm]:
+    """`class_members` without the copy: the generator's cached tuple for a
+    canonical pair, and a lazy ``map`` of its symmetry op over that tuple
+    for any other pair, so a caller that only scores members never holds
+    the images at once.  Bounded as `class_members` is, before any member."""
+    members, op = _generated_at(pair, n)
+    return members if op == "identity" else map(SYMMETRY_OPS[op], members)
+
+
 def class_members(pair: Pair, n: int) -> tuple[Perm, ...]:
     """Every member at length n, in the order the canonical generator makes them.
 
     For a canonical pair this is the generator's cached tuple itself; other
-    pairs map it through their symmetry op.  Callers that only count or
-    score members take this; `enumerate_class` sorts it.  An n past the
-    class's entry in `length_limits` raises ``ValueError``.
+    pairs map it through their symmetry op.  Callers that sort members take
+    this (`enumerate_class` does); the oracle, which only scores them,
+    iterates `_member_stream`.  An n past the class's entry in
+    `length_limits` raises ``ValueError``.
 
     >>> class_members(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
     ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1))
     """
-    members, op = _generated_at(pair, n)
-    return members if op == "identity" else tuple(map(SYMMETRY_OPS[op], members))
+    return tuple(_member_stream(pair, n))
 
 
 def class_size(pair: Pair, n: int) -> int:

@@ -9,6 +9,7 @@ maximum, this being the unit-interval special case of interval scheduling.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import NamedTuple
 
 from . import FAMILIES
@@ -154,7 +155,7 @@ def stat_vector(perm: Perm) -> StatVector:
     StatVector(asc=2, des=2, lrmax=3, lrmin=2, rlmax=2, rlmin=2, mna=2, mnd=2)
     """
     if not perm:
-        return StatVector(0, 0, 0, 0, 0, 0, 0, 0)
+        return tuple.__new__(StatVector, (0, 0, 0, 0, 0, 0, 0, 0))
     n_asc = n_mna = n_mnd = 0
     n_lrmax = n_lrmin = 1
     took_asc = took_des = False
@@ -186,5 +187,31 @@ def stat_vector(perm: Perm) -> StatVector:
         if v < low:
             low = v
             n_rlmin += 1
-    return StatVector(n_asc, len(perm) - 1 - n_asc, n_lrmax, n_lrmin,
-                      n_rlmax, n_rlmin, n_mna, n_mnd)
+    # tuple.__new__ builds the same StatVector without the frame of the
+    # named tuple's own __new__.
+    return tuple.__new__(StatVector, (n_asc, len(perm) - 1 - n_asc, n_lrmax, n_lrmin,
+                                      n_rlmax, n_rlmin, n_mna, n_mnd))
+
+
+def adjacency_quadruple(perm: Perm) -> tuple[int, int, int, int]:
+    """(asc, des, mna, mnd), read off the up-down word of adjacent pairs.
+
+    The word has one byte per adjacent pair, 1 for an ascent and 0 for a
+    descent, so asc is its count of 1s and des the rest.  The greedy scan of
+    `mna` takes ceil(r/2) = r - floor(r/2) ascents from each maximal run of
+    r consecutive ascents, whatever the other runs are.  ``bytes.count``
+    counts non-overlapping occurrences from the left, so it finds floor(r/2)
+    doubled 1s in each run of r 1s and none across two runs, which a 0
+    separates: mna is asc minus the count of doubled 1s, and mnd is des
+    minus the count of doubled 0s.  The single-statistic functions above
+    remain the definitions this must agree with.
+
+    >>> adjacency_quadruple((3, 4, 1, 5, 2))
+    (2, 2, 2, 2)
+    >>> adjacency_quadruple((1, 2, 3, 4, 6, 5))
+    (4, 1, 2, 1)
+    """
+    word = bytes(map(lt, perm, perm[1:]))
+    n_asc = word.count(1)
+    n_des = len(word) - n_asc
+    return (n_asc, n_des, n_asc - word.count(b"\1\1"), n_des - word.count(b"\0\0"))

@@ -8,14 +8,17 @@ counts to n = 12, family G to n = 10, family F to n = 9, maps to n = 12.
 Every check computes each class member's statistics once, and no check
 validates a member that the class generator produced.  The oracle
 (:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts
-members in generation order by one packed key of all eight statistics and
-reads a family's marginal off those counts by masking the key; within one
-:func:`suite` call, families G and F share one such table per (pair, n).
-The counts check takes class sizes from :func:`~avoidpair.perms.class_size`
-without carrying members over.  The map checks walk each class in
-lexicographic order, so that a report names the first discrepant member;
-they share one member-to-quadruple table per class and length, swap each
-distinct quadruple once, and map each member with the maps' image
+members in generation order (a non-canonical class's images mapped one at
+a time) by one packed key of all eight statistics and reads a family's
+marginal off those counts by masking the key; within one :func:`suite`
+call, families G and F share one such table per (pair, n).  The counts
+check takes class sizes from :func:`~avoidpair.perms.class_size` without
+carrying members over.  The map checks walk each class in lexicographic
+order, so that a report names the first discrepant member; they share one
+member-to-quadruple table per class and length, read each quadruple off
+the member's up-down word (asc, des, mna and mnd depend on adjacent
+comparisons alone; see :func:`~avoidpair.stats.adjacency_quadruple`), swap
+each distinct quadruple once, and map each member with the maps' image
 functions (see :mod:`avoidpair.bijections`), which neither decode the
 member's cuts to check it nor search for a pattern.  :func:`suite` lists
 the reports of one ``avoidpair verify`` run for a scope.
@@ -159,14 +162,16 @@ def check_counts(n_max: int = DEFAULT_N_COUNTS) -> VerifyReport:
 def _quadruples(pair: Pair, n: int, distinct: dict) -> dict:
     """Each member of the class at length n, with its (asc, des, mna, mnd).
 
-    Members share few distinct quadruples, so each distinct one is stored
-    once, in ``distinct``, rather than once per member; at n = 12 this keeps
-    the three live tables about 0.45 MB smaller.
+    The four statistics depend on adjacent comparisons alone, so each
+    quadruple is read off the member's up-down word by
+    :func:`~avoidpair.stats.adjacency_quadruple`, with no full statistics
+    pass.  Members share few distinct quadruples, so each distinct one is
+    stored once, in ``distinct``, rather than once per member; at n = 12
+    this keeps the three live tables about 0.45 MB smaller.
     """
     quadruples = {}
     for perm in enumerate_class(pair, n):
-        vec = stats.stat_vector(perm)
-        quad = (vec.asc, vec.des, vec.mna, vec.mnd)
+        quad = stats.adjacency_quadruple(perm)
         quadruples[perm] = distinct.setdefault(quad, quad)
     return quadruples
 

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import accumulate
+from operator import lt
 
 import pytest
 from hypothesis import given
@@ -159,6 +160,14 @@ class TestImageFunctions:
             for perm in enumerate_class(LAYERED_PAIR, n):
                 assert complement_map(perm) == complement_image(perm), perm
                 assert transfer_map(perm) == transfer_image(perm), perm
+
+    def test_transfer_image_mirrors_the_cuts_of_its_argument(self):
+        # the cut-by-cut construction: each ascent c of the argument is the cut n - c
+        for n in range(1, 13):
+            for perm in enumerate_class(LAYERED_PAIR, n):
+                cuts = bijections._cuts(perm, lt)
+                expected = bijections._runs([n - c for c in reversed(cuts)], n)
+                assert transfer_image(perm) == expected, perm
 
 
 class TestComplementMap:

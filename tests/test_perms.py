@@ -196,6 +196,11 @@ class TestSymmetries:
     def test_rc_composition_helper(self, perm):
         assert reverse_complement(perm) == complement(reverse(perm))
 
+    def test_rc_composition_helper_exhaustively(self):
+        for n in range(8):
+            for perm in all_perms(n):
+                assert reverse_complement(perm) == complement(reverse(perm)), perm
+
 
 class TestSums:
     def test_worked_example(self):

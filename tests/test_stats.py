@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from avoidpair.perms import SYMMETRY_OPS, all_perms, complement, decreasing, enumerate_class, identity, pattern_pair, reverse
-from avoidpair.stats import STAT_SWAPS, StatVector, asc, des, lrmax, lrmin, mna, mnd, rlmax, rlmin, stat_vector
+from avoidpair.stats import STAT_SWAPS, StatVector, adjacency_quadruple, asc, des, lrmax, lrmin, mna, mnd, rlmax, rlmin, stat_vector
 
 perms_up_to_64 = st.integers(min_value=1, max_value=64).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -207,3 +207,35 @@ class TestStatVector:
     @given(perms_9_to_200)
     def test_one_pass_matches_the_definitions_on_long_permutations(self, perm):
         assert stat_vector(perm) == by_definition(perm)
+
+    def test_the_result_is_exactly_a_stat_vector(self):
+        # built by tuple.__new__, it must be the named tuple the constructor makes
+        for n in range(7):
+            for perm in all_perms(n):
+                vec = stat_vector(perm)
+                built = StatVector(**vec._asdict())
+                assert type(vec) is StatVector
+                assert vec == built and hash(vec) == hash(built)
+                assert list(vec._asdict()) == list(built._asdict())
+
+
+def definitional_quadruple(perm):
+    return (asc(perm), des(perm), mna(perm), mnd(perm))
+
+
+class TestAdjacencyQuadruple:
+    def test_worked_values(self):
+        assert adjacency_quadruple((3, 4, 1, 5, 2)) == (2, 2, 2, 2)
+        assert adjacency_quadruple(()) == (0, 0, 0, 0)
+        assert adjacency_quadruple((1,)) == (0, 0, 0, 0)
+        assert adjacency_quadruple(identity(7)) == (6, 0, 3, 0)
+        assert adjacency_quadruple(decreasing(6)) == (0, 5, 0, 3)
+
+    def test_matches_the_definitions_exhaustively(self):
+        for n in range(9):
+            for perm in all_perms(n):
+                assert adjacency_quadruple(perm) == definitional_quadruple(perm), perm
+
+    @given(perms_9_to_200)
+    def test_matches_the_definitions_on_long_permutations(self, perm):
+        assert adjacency_quadruple(perm) == definitional_quadruple(perm)

@@ -41,7 +41,7 @@ def count_calls(monkeypatch, *names):
     """Wrap every module binding of each named function with a call counter."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        bindings = [m for m in (perms, bijections, oracle, verify) if hasattr(m, name)]
+        bindings = [m for m in (perms, stats, bijections, oracle, verify) if hasattr(m, name)]
         original = getattr(bindings[0], name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -269,6 +269,13 @@ class TestEquidistributionMaps:
         assert all_passed(check_equidistribution_maps(12))
         assert calls == {"_member_cuts": 0, "find_occurrence": 0}
 
+    def test_each_member_is_scored_from_its_up_down_word_alone(self, monkeypatch):
+        # one quadruple per member of the three classes, 2^(n-1) members
+        # each at n = 1..8, and no full statistics pass
+        calls = count_calls(monkeypatch, "stat_vector", "adjacency_quadruple")
+        assert all_passed(check_equidistribution_maps(8))
+        assert calls == {"stat_vector": 0, "adjacency_quadruple": 3 * 255}
+
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_a_range_without_a_length_is_rejected(self, n_max):
         # the maps start at n = 1, so these ranges would check nothing; a
@@ -329,6 +336,15 @@ class TestSuite:
         calls = count_calls(monkeypatch, "enumerate_class")
         assert all_passed(suite("gf"))
         assert calls == {"enumerate_class": 0}
+
+    def test_the_oracle_counts_images_without_copying_a_class(self, monkeypatch):
+        # class_members would build a whole tuple of images for a
+        # non-canonical pair; the oracle counts them as they are mapped
+        calls = count_calls(monkeypatch, "class_members")
+        assert all_passed(suite("gf"))
+        for pair in all_pairs():
+            brute_distribution(pair, 6, "G")
+        assert calls == {"class_members": 0}
 
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError, match="unknown scope"):
