@@ -309,18 +309,23 @@ def all_pairs() -> tuple[Pair, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def reduce_to_canonical(pair: Pair) -> tuple[Pair, str]:
     """Canonical pair and the op carrying it onto ``pair``.
 
-    Ops are tried in the order identity, r, c, rc; the first match wins.
+    ``pair`` may be spelled in either order and with any sequences; it is
+    checked and ordered by `pattern_pair` first.  Ops are tried in the order
+    identity, r, c, rc; the first match wins.
 
     >>> reduce_to_canonical(pattern_pair((1, 2, 3), (2, 1, 3)))
     (((1, 2, 3), (1, 3, 2)), 'rc')
     >>> reduce_to_canonical(pattern_pair((1, 3, 2), (2, 1, 3)))
     (((2, 3, 1), (3, 1, 2)), 'r')
     """
-    pair = pattern_pair(*pair)
+    return _first_reduction(pattern_pair(*pair))
+
+
+@lru_cache(maxsize=None)
+def _first_reduction(pair: Pair) -> tuple[Pair, str]:
     for canonical in CANONICAL_PAIRS:
         for op, transform in SYMMETRY_OPS.items():
             image = pattern_pair(transform(canonical[0]), transform(canonical[1]))
@@ -427,49 +432,37 @@ _CANONICAL_GENERATORS = {
 }
 
 
-def _canonical_at(pair: Pair, n: int) -> tuple[Pair, str]:
-    """``reduce_to_canonical(pair)``, once n is known to be a valid length.
-
-    Every class function validates its arguments here, so each rejects a
-    bad n or a bad pair at every length with the same error.
-    """
-    require_length(n)
-    return reduce_to_canonical(pattern_pair(*pair))
-
-
 def _generated_at(pair: Pair, n: int) -> tuple[tuple[Perm, ...], str]:
     """The canonical generator's members at length n, and the op carrying
-    them onto ``pair``'s class; ``ValueError`` past the class's length limit,
-    before any member is made."""
-    canonical, op = _canonical_at(pair, n)
+    them onto ``pair``'s class.
+
+    Every class function that reads members checks its arguments here, in
+    one order and before any member is made: the length rule, then the
+    pair, then the class's entry in `length_limits`.
+    """
+    require_length(n)
+    canonical, op = reduce_to_canonical(pair)
     if n > (limit := length_limits()[canonical]):
         raise ValueError(f"the class of {format_pair(pattern_pair(*pair))} is enumerated "
                          f"only up to n = {limit}, got n = {n}")
     return _CANONICAL_GENERATORS[canonical](n), op
 
 
-def _member_stream(pair: Pair, n: int) -> Iterable[Perm]:
-    """`class_members` without the copy: the generator's cached tuple for a
-    canonical pair, and a lazy ``map`` of its symmetry op over that tuple
-    for any other pair, so a caller that only scores members never holds
-    the images at once.  Bounded as `class_members` is, before any member."""
-    members, op = _generated_at(pair, n)
-    return members if op == "identity" else map(SYMMETRY_OPS[op], members)
-
-
-def class_members(pair: Pair, n: int) -> tuple[Perm, ...]:
+def class_members(pair: Pair, n: int) -> Iterable[Perm]:
     """Every member at length n, in the order the canonical generator makes them.
 
-    For a canonical pair this is the generator's cached tuple itself; other
-    pairs map it through their symmetry op.  Callers that sort members take
-    this (`enumerate_class` does); the oracle, which only scores them,
-    iterates `_member_stream`.  An n past the class's entry in
-    `length_limits` raises ``ValueError``.
+    For a canonical pair this is the generator's cached tuple itself.  For
+    any other pair it is a lazy ``map`` of the pair's symmetry op over that
+    tuple, a one-pass iterator, so a caller that only scores members never
+    holds the images at once; call ``tuple()`` on it for a tuple.  A bad
+    pair or length, or an n past the class's entry in `length_limits`,
+    raises ``ValueError`` at the call, before any member is made.
 
     >>> class_members(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
     ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1))
     """
-    return tuple(_member_stream(pair, n))
+    members, op = _generated_at(pair, n)
+    return members if op == "identity" else map(SYMMETRY_OPS[op], members)
 
 
 def class_size(pair: Pair, n: int) -> int:
@@ -493,7 +486,8 @@ def class_count(pair: Pair, n: int) -> int:
     >>> class_count(pattern_pair((1, 3, 2), (3, 2, 1)), 5)
     11
     """
-    return _canonical_count(_canonical_at(pair, n)[0], n)
+    require_length(n)
+    return _canonical_count(reduce_to_canonical(pair)[0], n)
 
 
 def _canonical_count(canonical: Pair, n: int) -> int:

@@ -8,28 +8,30 @@ counts to n = 12, family G to n = 10, family F to n = 9, maps to n = 12.
 Every check computes each class member's statistics once, and no check
 validates a member that the class generator produced.  The oracle
 (:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts
-members in generation order (a non-canonical class's images mapped one at
-a time) by one packed key of all eight statistics and reads a family's
-marginal off those counts by masking the key; within one :func:`suite`
-call, families G and F share one such table per (pair, n).  The counts
-check takes class sizes from :func:`~avoidpair.perms.class_size` without
-carrying members over.  The map checks walk each class in lexicographic
-order, so that a report names the first discrepant member; they share one
-member-to-quadruple table per class and length, read each quadruple off
-the member's up-down word (asc, des, mna and mnd depend on adjacent
-comparisons alone; see :func:`~avoidpair.stats.adjacency_quadruple`), swap
-each distinct quadruple once, and map each member with the maps' image
-functions (see :mod:`avoidpair.bijections`), which neither decode the
-member's cuts to check it nor search for a pattern.  :func:`suite` lists
-the reports of one ``avoidpair verify`` run for a scope.
+the members of :func:`~avoidpair.perms.class_members` in generation order
+(a non-canonical class's images mapped one at a time) by one packed key
+of all eight statistics and reads a family's marginal off those counts by
+masking the key; within one :func:`suite` call, families G and F share one
+such table per (pair, n).  The counts check takes class sizes from
+:func:`~avoidpair.perms.class_size` without carrying members over.  The
+map checks walk each class in lexicographic order, so that a report
+names the first discrepant member; they share one member-to-quadruple
+table per class and length, read each quadruple off the member's up-down
+word (asc, des, mna and mnd depend on adjacent comparisons alone; see
+:func:`~avoidpair.stats.adjacency_quadruple`), swap each distinct
+quadruple once, and map each member with the maps' image functions (see
+:mod:`avoidpair.bijections`), which neither decode the member's cuts to
+check it nor search for a pattern.  :func:`suite` lists the reports of one
+``avoidpair verify`` run for a scope.
 
 Each check rejects a bad ``n_max`` itself, before any expansion or member,
 by one rule (``_check_range``): the length rule of
 :func:`~avoidpair.perms.require_length`, the check's first length (1 for
 the maps), and the lowest :func:`~avoidpair.perms.length_limits` entry
 over the classes the check enumerates (18; 90 for ``check_gf`` on
-``132,321``).  :func:`suite` applies the same rule to every range it will
-run before the first check runs.
+``132,321``).  :func:`suite` applies the same rule once to a given
+``n_max``, over every class of the checks it selects, before the first
+check runs.
 """
 
 from __future__ import annotations
@@ -235,9 +237,11 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     """The reports of one ``avoidpair verify`` run, in the order it prints them.
 
     ``scope`` is one of :data:`SCOPES`; ``n_max``, when given, replaces
-    every default range.  Every range the run will check is checked, as its
-    check checks it, before any check runs, so a bad range throws no work
-    away: at most 18, and at least 1 when the maps run.
+    every default range.  It is then checked once, before any check runs,
+    by the rule of the checks the run selects over all of their classes, so
+    a bad range throws no work away: at most 18, and at least 1 when the
+    maps run.  The default ranges are valid, and each check still checks
+    its own.
 
     ``all`` is the counts check, then family G and family F over the 14
     infinite pairs, then the five maps.
@@ -251,13 +255,10 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     counts, gf, maps = (scope in ("all", part) for part in ("counts", "gf", "maps"))
     infinite = [pair for pair in all_pairs() if pair != FINITE_PAIR]
     families = (("G", upto(DEFAULT_N_G)), ("F", upto(DEFAULT_N_F)))
-    if counts:
-        _check_range(upto(DEFAULT_N_COUNTS), 0, all_pairs())
-    if gf:
-        for _, n in families:
-            _check_range(n, 0, infinite)
-    if maps:
-        _check_range(upto(DEFAULT_N_MAPS), 1, _MAP_PAIRS)
+    if n_max is not None:
+        classes = {*(all_pairs() if counts else ()), *(infinite if gf else ()),
+                   *(_MAP_PAIRS if maps else ())}
+        _check_range(n_max, 1 if maps else 0, classes)
     reports = []
     if counts:
         reports.append(check_counts(upto(DEFAULT_N_COUNTS)))

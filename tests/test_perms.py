@@ -381,7 +381,7 @@ class TestClassMembers:
     def test_sorted_members_are_the_enumerated_class(self):
         for pair in all_pairs():
             for n in range(11):
-                members = class_members(pair, n)
+                members = tuple(class_members(pair, n))
                 assert sorted(members) == enumerate_class(pair, n), (pair, n)
                 assert len(set(members)) == len(members) == class_size(pair, n), (pair, n)
 
@@ -391,6 +391,28 @@ class TestClassMembers:
 
 
 CLASS_FUNCTIONS = (class_count, class_size, enumerate_class, class_members, filter_class)
+
+
+class TestPairSpellings:
+    """Every pair-taking function reads a pair in either order and spelled
+    with lists as it reads the canonical tuple spelling."""
+
+    @staticmethod
+    def respelled(pair):
+        return ([*pair[1]], [*pair[0]])
+
+    def test_the_reduction(self):
+        assert reduce_to_canonical(([1, 2, 3], [1, 3, 2])) == (
+            ((1, 2, 3), (1, 3, 2)), "identity")
+        for pair in all_pairs():
+            assert reduce_to_canonical(self.respelled(pair)) == reduce_to_canonical(pair)
+
+    @pytest.mark.parametrize("function", CLASS_FUNCTIONS)
+    def test_the_class_functions(self, function):
+        read = tuple if function is class_members else lambda value: value
+        for pair in all_pairs():
+            assert (read(function(self.respelled(pair), 5))
+                    == read(function(pair, 5))), (function, pair)
 
 
 class TestClassArguments:
