@@ -9,20 +9,20 @@ Every check computes each class member's statistics once, and no check
 validates a member that the class generator produced.  The oracle
 (:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts
 the members of :func:`~avoidpair.perms.class_members` in generation order
-(a non-canonical class's images mapped one at a time) by one packed key
-of all eight statistics and reads a family's marginal off those counts by
-masking the key; within one :func:`suite` call, families G and F share one
-such table per (pair, n).  The counts check takes class sizes from
-:func:`~avoidpair.perms.class_size` without carrying members over.  The
-map checks walk each class in lexicographic order, so that a report
-names the first discrepant member; they share one member-to-quadruple
-table per class and length, read each quadruple off the member's up-down
-word (asc, des, mna and mnd depend on adjacent comparisons alone; see
-:func:`~avoidpair.stats.adjacency_quadruple`), swap each distinct
-quadruple once, and map each member with the maps' image functions (see
-:mod:`avoidpair.bijections`), which neither decode the member's cuts to
-check it nor search for a pattern.  :func:`suite` lists the reports of one
-``avoidpair verify`` run for a scope.
+(a non-canonical class's images mapped one at a time) by one packed key of
+all eight statistics and reads a family's marginal off those counts by
+masking the key; it keeps one such table per (pair, n) for the process, so
+families G and F, and any later run, score each class once.  The counts
+check takes class sizes from :func:`~avoidpair.perms.class_size` without
+carrying members over.  The map checks walk each class in lexicographic
+order, so that a report names the first discrepant member; they share one
+member-to-quadruple table per class and length, read each quadruple off
+the member's up-down word (asc, des, mna and mnd depend on adjacent
+comparisons alone; see :func:`~avoidpair.stats.adjacency_quadruple`), swap
+each distinct quadruple once, and map each member with the maps' image
+functions (see :mod:`avoidpair.bijections`), which neither decode the
+member's cuts to check it nor search for a pattern.  :func:`suite` lists
+the reports of one ``avoidpair verify`` run for a scope.
 
 Each check rejects a bad ``n_max`` itself, before any expansion or member,
 by one rule (``_check_range``): the length rule of
@@ -114,22 +114,20 @@ def _check_range(n_max, first: int, pairs: Iterable[Pair]) -> None:
                          f"so n_max must be at most {limit}, got {n_max}")
 
 
-def check_gf(pair: Pair, family: str, n_max: int, gf=None, *,
-             joint: dict | None = None) -> VerifyReport:
+def check_gf(pair: Pair, family: str, n_max: int) -> VerifyReport:
     """Expansion coefficients of the catalogued form vs brute force, n = 0..n_max.
 
     ``n_max``, at most 18 (90 for ``132,321``), is checked before any work.
-    Passing ``gf`` substitutes a candidate form for the catalogued one,
-    which lets the harness prove it would catch a corrupted entry.
-    ``joint`` is passed on to :func:`brute_distribution`.
+    The form is :func:`~avoidpair.catalog.gf_for`'s, looked up at each
+    call, so a test that swaps that function proves a corrupted entry is
+    caught.  The oracle's tables outlive the call (see
+    :func:`brute_distribution`).
     """
     pair = pattern_pair(*pair)
     _check_range(n_max, 0, (pair,))
-    if gf is None:
-        gf = catalog.gf_for(pair, family)
-    table = expand(gf, n_max)
+    table = expand(catalog.gf_for(pair, family), n_max)
     for n in range(n_max + 1):
-        expected = brute_distribution(pair, n, family, joint=joint)
+        expected = brute_distribution(pair, n, family)
         if table.coeffs[n] != expected:
             discrepancy = {
                 "n": n,
@@ -263,13 +261,9 @@ def suite(scope: str = "all", n_max: int | None = None) -> list[VerifyReport]:
     if counts:
         reports.append(check_counts(upto(DEFAULT_N_COUNTS)))
     if gf:
-        # G fills one eight-statistic table per (pair, n) and F reads its
-        # marginal off the same table; dropped before the maps run.
-        joint = {}
         for family, n in families:
             for pair in infinite:
-                reports.append(check_gf(pair, family, n, joint=joint))
-        del joint
+                reports.append(check_gf(pair, family, n))
     if maps:
         reports.extend(check_equidistribution_maps(upto(DEFAULT_N_MAPS)))
     return reports

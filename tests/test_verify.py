@@ -145,8 +145,10 @@ class TestCheckGF:
             (pattern_pair((2, 1, 3), (3, 1, 2)), "G"),
         ],
     )
-    def test_detects_a_corrupted_coefficient_early(self, pair, family):
-        report = check_gf(pair, family, 6, gf=corrupt(catalog.gf_for(pair, family)))
+    def test_detects_a_corrupted_coefficient_early(self, monkeypatch, pair, family):
+        good = catalog.gf_for
+        monkeypatch.setattr(catalog, "gf_for", lambda *args: corrupt(good(*args)))
+        report = check_gf(pair, family, 6)
         assert not report.passed
         assert report.first_discrepancy["n"] <= 6
 
@@ -167,30 +169,30 @@ class TestCheckGF:
 
 
 class TestSharedTable:
-    def test_reports_equal_with_and_without_a_shared_table(self):
-        joint = {}
-        for family in ("G", "F"):
-            for pair in all_pairs():
-                if pair == FINITE_PAIR:
-                    continue
-                bad = corrupt(catalog.gf_for(pair, family))
-                assert check_gf(pair, family, 7, joint=joint) == check_gf(pair, family, 7)
-                failed = check_gf(pair, family, 7, gf=bad, joint=joint)
-                assert failed == check_gf(pair, family, 7, gf=bad) and not failed.passed
+    """The oracle keeps one eight-statistic table per class and length."""
 
-    def test_a_table_filled_by_g_gives_f_its_marginal(self, monkeypatch):
-        joint = {}
+    def test_g_then_f_scores_each_member_once(self, monkeypatch):
+        oracle._joint_counts.cache_clear()
+        calls = count_calls(monkeypatch, "stat_vector")
+        members = 0
         for pair in all_pairs():
             for n in range(8):
-                brute_distribution(pair, n, "G", joint=joint)
-        assert len(joint) == 15 * 8
-        fresh = {key: brute_distribution(*key, "F") for key in joint}
-        # F reads every member's vector off the table: none is computed again
-        monkeypatch.setattr(stats, "stat_vector", None)
-        for key, poly in fresh.items():
-            assert brute_distribution(*key, "F", joint=joint) == poly, key
+                members += perms.class_size(pair, n)
+                for family in ("G", "F"):
+                    brute_distribution(pair, n, family)
+        assert calls == {"stat_vector": members}
+        assert oracle._joint_counts.cache_info().currsize == 15 * 8
 
-    def test_suite_shares_one_table_across_its_gf_checks(self, monkeypatch):
+    def test_every_spelling_of_a_pair_reads_one_table(self):
+        oracle._joint_counts.cache_clear()
+        expected = brute_distribution(PAIR_123_132, 3, "G")
+        assert oracle._joint_counts.cache_info().currsize == 1
+        first, second = PAIR_123_132
+        for spelling in (([1, 2, 3], [1, 3, 2]), (second, first), ([*second], [*first])):
+            assert brute_distribution(spelling, 3, "G") == expected, spelling
+        assert oracle._joint_counts.cache_info().currsize == 1
+
+    def test_suite_calls_check_gf_with_three_positional_arguments(self, monkeypatch):
         calls = []
         original = verify.check_gf
 
@@ -203,9 +205,31 @@ class TestSharedTable:
         assert len(calls) == 28
         # pair, family and n_max stay positional: callers that wrap check_gf read them
         assert [args[1] for args, _ in calls] == ["G"] * 14 + ["F"] * 14
-        assert all(len(args) == 3 and set(kwargs) == {"joint"} for args, kwargs in calls)
-        assert len({id(kwargs["joint"]) for _, kwargs in calls}) == 1
-        assert len(calls[0][1]["joint"]) == 14 * 4
+        assert all(len(args) == 3 and not kwargs for args, kwargs in calls)
+
+    @pytest.mark.parametrize("n, message", [
+        (True, "n must be an int, got True"),
+        ([1], "n must be an int, got [1]"),
+        (1.0, "n must be an int, got 1.0"),
+        (-1, "n must be non-negative, got -1"),
+    ])
+    def test_a_bad_length_never_reads_a_cached_table(self, n, message):
+        # True and 1.0 hash as 1, and [1] cannot be hashed at all
+        brute_distribution(PAIR_231_312, 1, "G")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            brute_distribution(PAIR_231_312, n, "G")
+
+    def test_errors_come_family_then_length_then_pair_then_limit(self):
+        bad_pair = ((1, 2, 3), (1, 2, 3))
+        with pytest.raises(ValueError, match="^unknown family 'H'"):
+            brute_distribution(bad_pair, -1, "H")
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+            brute_distribution(bad_pair, -1, "G")
+        with pytest.raises(ValueError, match="^the two patterns must be distinct$"):
+            brute_distribution(bad_pair, 19, "G")
+        with pytest.raises(ValueError, match="^the class of 231,312 is enumerated only up "
+                                             "to n = 18, got n = 19$"):
+            brute_distribution(PAIR_231_312, 19, "G")
 
 
 class TestCheckCounts:
