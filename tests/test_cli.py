@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import shlex
 import subprocess
@@ -169,14 +170,23 @@ class TestEnumerate:
         )
         assert out == "perm\n1 2\n2 1\n"
 
-    @pytest.mark.parametrize("pair", ["213,231", "132,312", "213,312", "132,231"])
-    def test_n12_matches_its_pinned_digest(self, capsys, pair):
-        # the file is in `sha256sum -c` format: a digest and a file name a line
-        text = (Path(__file__).parent / "data" / "enumerate_n12.sha256").read_text()
-        pinned = {name: digest for digest, name in (line.split("  ") for line in text.splitlines())}
-        code, out, err = run_cli(capsys, "enumerate", "--pair", pair, "--n", "12")
+    # The file is in `sha256sum -c` format: a digest and a file name a line.
+    # Each name is enumerate_<pair>_n12.<ext>: ext txt for the plain output
+    # of every pair, json and csv for one canonical and one other pair.
+    _PINNED = [line.split("  ") for line in
+               (Path(__file__).parent / "data" / "enumerate_n12.sha256").read_text().splitlines()]
+
+    def test_every_pair_has_a_pinned_plain_digest(self):
+        names = {name for _, name in self._PINNED}
+        assert {f"enumerate_{format_pair(pair)}_n12.txt" for pair in all_pairs()} <= names
+
+    @pytest.mark.parametrize("digest,name", _PINNED, ids=[name for _, name in _PINNED])
+    def test_n12_matches_its_pinned_digest(self, capsys, digest, name):
+        pair, ext = re.fullmatch(r"enumerate_(\d{3},\d{3})_n12\.(txt|json|csv)", name).groups()
+        fmt = {"txt": [], "json": ["--format", "json"], "csv": ["--format", "csv"]}[ext]
+        code, out, err = run_cli(capsys, "enumerate", "--pair", pair, "--n", "12", *fmt)
         assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == pinned[f"enumerate_{pair}_n12.txt"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestStats:
