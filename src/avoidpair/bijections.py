@@ -25,7 +25,8 @@ Each map checks that its argument is a layered member, then calls its image
 function (``complement_image``, ``transfer_image``), which computes the
 image of a member already known to be one; :mod:`avoidpair.verify` calls
 the image functions on the class generator's members, which it never checks
-again.
+again.  The maps take and return tuples; an image function returns its
+argument's type, so a generator's ``bytes`` member maps to ``bytes``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from operator import gt, lt, sub
 
 from .perms import (
     DataError,
+    Member,
     Pair,
     Perm,
     find_occurrence,
@@ -140,14 +142,14 @@ def layered_compose(comp: Composition) -> Perm:
     return _layered(*_cuts_of(comp))
 
 
-def _layered(cuts: list[int], n: int) -> Perm:
-    """The layered member of length n cut at ``cuts``."""
+def _layered(cuts: list[int], n: int, make=tuple) -> Perm:
+    """The layered member of length n cut at ``cuts``, built by ``make``."""
     perm = []
     low = 0
     for high in [*cuts, n]:
         perm += range(high, low, -1)
         low = high
-    return tuple(perm)
+    return make(perm)
 
 
 def layered_decompose(perm: Perm) -> Composition:
@@ -172,8 +174,8 @@ def runs_compose(comp: Composition) -> Perm:
     return _runs(*_cuts_of(comp))
 
 
-def _runs(cuts: list[int], n: int) -> Perm:
-    """The ascending-run member of length n cut at ``cuts``."""
+def _runs(cuts: list[int], n: int, make=tuple) -> Perm:
+    """The ascending-run member of length n cut at ``cuts``, built by ``make``."""
     perm = []
     low, high, start = 1, n, 0
     for end in [*cuts, n] if n else ():
@@ -181,7 +183,7 @@ def _runs(cuts: list[int], n: int) -> Perm:
         perm += range(low, top)
         perm.append(high)
         low, high, start = top, high - 1, end
-    return tuple(perm)
+    return make(perm)
 
 
 def runs_decompose(perm: Perm) -> Composition:
@@ -216,14 +218,19 @@ def complement_map(perm: Perm) -> Perm:
     return complement_image(_map_argument(perm))
 
 
-def complement_image(member: Perm) -> Perm:
-    """``complement_map`` of a layered member given as a tuple, with no check.
+def complement_image(member: Member) -> Member:
+    """``complement_map`` of a layered member, with no check.
 
-    The argument's descent positions are the image's cuts.  A caller that
-    does not already know the argument to be a layered member of length
-    n >= 1, as the class generator's members are, calls the map instead.
+    The argument's descent positions are the image's cuts.  The image has
+    the argument's type: ``bytes`` for a class generator's member, a tuple
+    for the map's checked argument.  A caller that does not already know
+    the argument to be a layered member of length n >= 1, as the class
+    generator's members are, calls the map instead.
+
+    >>> complement_image(bytes([1, 2]))
+    b'\\x02\\x01'
     """
-    return _layered(_cuts(member, gt), len(member))
+    return _layered(_cuts(member, gt), len(member), type(member))
 
 
 def transfer_map(perm: Perm) -> Perm:
@@ -241,12 +248,13 @@ def transfer_map(perm: Perm) -> Perm:
     return transfer_image(_map_argument(perm))
 
 
-def transfer_image(member: Perm) -> Perm:
-    """``transfer_map`` of a layered member given as a tuple, with no check.
+def transfer_image(member: Member) -> Member:
+    """``transfer_map`` of a layered member, with no check.
 
     Each cut c of the argument (an ascent) becomes the image's cut n - c,
     so the image is cut at i exactly when n - i is an ascent of the
-    argument: a descent at i of the argument read backwards.  The same
-    caveat as for :func:`complement_image` holds.
+    argument: a descent at i of the argument read backwards.  The image
+    has the argument's type, and the same caveat as for
+    :func:`complement_image` holds.
     """
-    return _runs(_cuts(member[::-1], gt), len(member))
+    return _runs(_cuts(member[::-1], gt), len(member), type(member))

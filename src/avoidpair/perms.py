@@ -1,10 +1,16 @@
 """Permutations in one-line notation over {1, ..., n}.
 
-Permutations and patterns are plain tuples of 1-based values.  The module
-covers the classical symmetries (reverse, complement, inverse), pattern
+Permutations and patterns are tuples of 1-based values.  The module covers
+the classical symmetries (reverse, complement, inverse), pattern
 containment, direct/skew sums, and enumeration of the classes avoiding any
 two distinct length-3 patterns.  The empty permutation ``()`` is valid
 everywhere and belongs to every avoidance class.
+
+A class member is a ``bytes`` of its values instead: every length a class
+is enumerated to is below 256, a ``bytes`` sorts in the lexicographic order
+of the tuple of its values, and `format_perm` and the statistics read it
+as they read a tuple.  It takes about a third of a tuple's memory, and the
+symmetry ops on members (`member_ops`) are C-level slices and translates.
 """
 
 from __future__ import annotations
@@ -12,11 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import add, sub
+from operator import add, itemgetter, methodcaller, sub
 from typing import Callable, Iterable, Iterator
 
 Perm = tuple[int, ...]
 Pair = tuple[Perm, Perm]
+# A class member: the values of a permutation, one byte each.
+Member = bytes
 
 
 def make_permutation(seq: Iterable[int]) -> Perm:
@@ -276,6 +284,31 @@ SYMMETRY_OPS: dict[str, Callable[[Perm], Perm]] = {
     "rc": reverse_complement,
 }
 
+
+@lru_cache(maxsize=None)
+def member_ops(n: int) -> dict[str, Callable[[Member], Member]]:
+    """Reverse, complement and reverse-complement, under their names in
+    `SYMMETRY_OPS`, and ``"inverse"``, on class members of length n.
+
+    Each is a C-level slice or ``bytes.translate``, with its tables made
+    once for the length: complement translates through the table taking v
+    to n + 1 - v.  The table ``maketrans(m, ident)`` takes m[i] to i + 1,
+    so translating the identity through it gives the inverse of m.
+
+    >>> ops = member_ops(3)
+    >>> ops["c"](bytes((2, 3, 1))), ops["inverse"](bytes((2, 3, 1)))
+    (b'\\x02\\x01\\x03', b'\\x03\\x01\\x02')
+    """
+    ident = bytes(range(1, n + 1))
+    complement_table = bytes.maketrans(ident, ident[::-1])
+    return {
+        "r": itemgetter(slice(None, None, -1)),
+        "c": methodcaller("translate", complement_table),
+        "rc": lambda m: m[::-1].translate(complement_table),
+        "inverse": lambda m: ident.translate(bytes.maketrans(m, ident)),
+    }
+
+
 FINITE_PAIR: Pair = pattern_pair((1, 2, 3), (3, 2, 1))
 
 CANONICAL_PAIRS: tuple[Pair, ...] = (
@@ -353,73 +386,80 @@ def filter_class(pair: Pair, n: int) -> list[Perm]:
     return [perm for perm in all_perms(n) if avoids_pair(perm, pair)]
 
 
+# The six canonical generators.  Each returns and caches the members of its
+# class at length n as a tuple of `Member`s, one block of values at a time
+# joined by ``+``.
+
+
 @lru_cache(maxsize=None)
-def _class_123_132(n: int) -> tuple[Perm, ...]:
+def _class_123_132(n: int) -> tuple[Member, ...]:
     # Members split by the position k of n: a forced decreasing prefix
     # n-1, ..., n-k+1, then n, then any member on the remaining low values.
     if n == 0:
-        return ((),)
+        return (b"",)
     out = []
     for k in range(1, n + 1):
-        prefix = tuple(range(n - 1, n - k, -1)) + (n,)
+        prefix = bytes(range(n - 1, n - k, -1)) + bytes((n,))
         out.extend(prefix + rest for rest in _class_123_132(n - k))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _class_132_321(n: int) -> tuple[Perm, ...]:
+def _class_132_321(n: int) -> tuple[Member, ...]:
     # n first; or n at an interior position with everything else forced
     # increasing around it; or n last with a shorter member in front.
     if n < 2:
-        return (tuple(range(1, n + 1)),)
-    out = [(n,) + tuple(range(1, n))]
+        return (bytes(range(1, n + 1)),)
+    top = bytes((n,))
+    out = [top + bytes(range(1, n))]
     for k in range(2, n):
-        out.append(tuple(range(n - k + 1, n)) + (n,) + tuple(range(1, n - k + 1)))
-    out.extend(rest + (n,) for rest in _class_132_321(n - 1))
+        out.append(bytes(range(n - k + 1, n)) + top + bytes(range(1, n - k + 1)))
+    out.extend(rest + top for rest in _class_132_321(n - 1))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _class_231_312(n: int) -> tuple[Perm, ...]:
+def _class_231_312(n: int) -> tuple[Member, ...]:
     # Layered permutations: any shorter member on the smallest values, then
     # a decreasing block on the values above it.
     if n == 0:
-        return ((),)
+        return (b"",)
     out = []
     for c in range(1, n + 1):
-        block = tuple(range(n, n - c, -1))
+        block = bytes(range(n, n - c, -1))
         out.extend(map(add, _class_231_312(n - c), itertools.repeat(block)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _class_213_312(n: int) -> tuple[Perm, ...]:
+def _class_213_312(n: int) -> tuple[Member, ...]:
     # Unimodal permutations, which rise to n and then fall: each is a member
     # one shorter with n placed right before or right after n-1.
     if n < 2:
-        return (tuple(range(1, n + 1)),)
+        return (bytes(range(1, n + 1)),)
+    falling, rising = bytes((n, n - 1)), bytes((n - 1, n))
     out = []
     for rest in _class_213_312(n - 1):
         i = rest.index(n - 1)
         head, tail = rest[:i], rest[i + 1:]
-        out.append(head + (n, n - 1) + tail)
-        out.append(head + (n - 1, n) + tail)
+        out.append(head + falling + tail)
+        out.append(head + rising + tail)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _class_213_231(n: int) -> tuple[Perm, ...]:
+def _class_213_231(n: int) -> tuple[Member, ...]:
     # Inverse respects containment, fixes 213 and exchanges 312 with 231, so
     # it carries the unimodal class Av(213, 312) onto Av(213, 231).
-    return tuple(map(inverse, _class_213_312(n)))
+    return tuple(map(member_ops(n)["inverse"], _class_213_312(n)))
 
 
 @lru_cache(maxsize=None)
-def _class_123_321(n: int) -> tuple[Perm, ...]:
+def _class_123_321(n: int) -> tuple[Member, ...]:
     # Finite class: empty from n = 5 on, so filtering is always cheap.
     if n >= 5:
         return ()
-    return tuple(filter_class(FINITE_PAIR, n))
+    return tuple(map(bytes, filter_class(FINITE_PAIR, n)))
 
 
 _CANONICAL_GENERATORS = {
@@ -432,7 +472,7 @@ _CANONICAL_GENERATORS = {
 }
 
 
-def _generated_at(pair: Pair, n: int) -> tuple[tuple[Perm, ...], str]:
+def _generated_at(pair: Pair, n: int) -> tuple[tuple[Member, ...], str]:
     """The canonical generator's members at length n, and the op carrying
     them onto ``pair``'s class.
 
@@ -448,21 +488,26 @@ def _generated_at(pair: Pair, n: int) -> tuple[tuple[Perm, ...], str]:
     return _CANONICAL_GENERATORS[canonical](n), op
 
 
-def class_members(pair: Pair, n: int) -> Iterable[Perm]:
-    """Every member at length n, in the order the canonical generator makes them.
+def class_members(pair: Pair, n: int) -> Iterable[Member]:
+    """Every member at length n, as ``bytes``, in the order the canonical
+    generator makes them.
 
     For a canonical pair this is the generator's cached tuple itself.  For
-    any other pair it is a lazy ``map`` of the pair's symmetry op over that
-    tuple, a one-pass iterator, so a caller that only scores members never
-    holds the images at once; call ``tuple()`` on it for a tuple.  A bad
-    pair or length, or an n past the class's entry in `length_limits`,
-    raises ``ValueError`` at the call, before any member is made.
+    any other pair it is a lazy ``map`` of the pair's op in `member_ops`
+    over that tuple, a one-pass iterator, so a caller that only scores
+    members never holds the images at once; call ``tuple()`` on it for a
+    tuple.  A bad pair or length, or an n past the class's entry in
+    `length_limits`, raises ``ValueError`` at the call, before any member
+    is made.
 
-    >>> class_members(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
-    ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1))
+    >>> members = class_members(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
+    >>> members
+    (b'\\x01\\x02\\x03', b'\\x02\\x01\\x03', b'\\x01\\x03\\x02', b'\\x03\\x02\\x01')
+    >>> [tuple(member) for member in members]
+    [(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1)]
     """
     members, op = _generated_at(pair, n)
-    return members if op == "identity" else map(SYMMETRY_OPS[op], members)
+    return members if op == "identity" else map(member_ops(n)[op], members)
 
 
 def class_size(pair: Pair, n: int) -> int:
@@ -505,8 +550,9 @@ def _canonical_count(canonical: Pair, n: int) -> int:
 
 # Each generator caches every length it has made, so making length n keeps
 # all members of lengths 1..n.  A class is enumerated only up to the longest
-# n whose cached entries, summed over those lengths, stay within this budget
-# (about 8 bytes each).
+# n whose cached entries (member values), summed over those lengths, stay
+# within this budget.  Traced, a class of size 2^(n-1) cached up to n = 18
+# takes 14.5 MiB (58 bytes a member) and Av(132,321) up to n = 90 12.6 MiB.
 _CACHED_ENTRIES_BUDGET = 1 << 23
 
 
@@ -514,9 +560,10 @@ _CACHED_ENTRIES_BUDGET = 1 << 23
 def length_limits() -> dict[Pair, int | float]:
     """The longest length each canonical class is enumerated to.
 
-    18 for the four classes of size 2^(n-1), 90 for Av(132,321).  A class
-    empty at some length, Av(123,321) from n = 5 on, stays empty at every
-    longer one and has no limit.  Computed on first use, so a process that
+    18 for the four classes of size 2^(n-1), 90 for Av(132,321); every
+    finite entry is below 256, so each value of a member fits in a byte.  A
+    class empty at some length, Av(123,321) from n = 5 on, stays empty at
+    every longer one and has no limit.  Computed on first use, so a process that
     enumerates nothing never computes it.
     """
     limits = {}
@@ -533,16 +580,20 @@ def length_limits() -> dict[Pair, int | float]:
     return limits
 
 
-def enumerate_class(pair: Pair, n: int) -> list[Perm]:
-    """Every member of S_n avoiding both patterns, in lexicographic order.
+def enumerate_class(pair: Pair, n: int) -> list[Member]:
+    """Every member of S_n avoiding both patterns, as ``bytes``, in
+    lexicographic order.
 
     This is `class_members` sorted.  Members are generated structurally for
     the canonical pair and carried over by the matching symmetry op; the
-    result equals `filter_class`.  Av(213, 312) is the unimodal class, grown
-    by placing n right before or right after n - 1, and Av(213, 231) is its
-    image under inverse.
+    tuples of the result equal `filter_class`.  Av(213, 312) is the unimodal
+    class, grown by placing n right before or right after n - 1, and
+    Av(213, 231) is its image under inverse.
 
-    >>> enumerate_class(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
-    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    >>> members = enumerate_class(pattern_pair((2, 3, 1), (3, 1, 2)), 3)
+    >>> members
+    [b'\\x01\\x02\\x03', b'\\x01\\x03\\x02', b'\\x02\\x01\\x03', b'\\x03\\x02\\x01']
+    >>> [format_perm(member) for member in members]
+    ['1 2 3', '1 3 2', '2 1 3', '3 2 1']
     """
     return sorted(class_members(pair, n))

@@ -21,7 +21,9 @@ the member's up-down word (asc, des, mna and mnd depend on adjacent
 comparisons alone; see :func:`~avoidpair.stats.adjacency_quadruple`), swap
 each distinct quadruple once, and map each member with the maps' image
 functions (see :mod:`avoidpair.bijections`), which neither decode the
-member's cuts to check it nor search for a pattern.  :func:`suite` lists
+member's cuts to check it nor search for a pattern, or with
+:func:`~avoidpair.perms.member_ops`; members and images are both
+``bytes``, so each image is looked up as it is made.  :func:`suite` lists
 the reports of one ``avoidpair verify`` run for a scope.
 
 Each check rejects a bad ``n_max`` itself, before any expansion or member,
@@ -49,14 +51,13 @@ from .perms import (
     all_pairs,
     class_count,
     class_size,
-    complement,
     enumerate_class,
     format_pair,
     length_limits,
+    member_ops,
     pattern_pair,
     reduce_to_canonical,
     require_length,
-    reverse,
 )
 # brute_distribution lives in oracle, which table --oracle loads without
 # this module, and is re-exported here.
@@ -167,7 +168,8 @@ def _quadruples(pair: Pair, n: int, distinct: dict) -> dict:
     :func:`~avoidpair.stats.adjacency_quadruple`, with no full statistics
     pass.  Members share few distinct quadruples, so each distinct one is
     stored once, in ``distinct``, rather than once per member; at n = 12
-    this keeps the three live tables about 0.45 MB smaller.
+    the three live tables take 0.22 MiB, against 0.63 MiB with one
+    quadruple per member (traced).
     """
     quadruples = {}
     for perm in enumerate_class(pair, n):
@@ -193,10 +195,11 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
     made, must be in 1..18.
     """
     _check_range(n_max, 1, _MAP_PAIRS)
+    # a map named by a string is that op of `member_ops` at each length
     checks = [
         ("involution-swaps-quadruple", LAYERED_PAIR, complement_image, LAYERED_PAIR),
-        ("complement-swaps-quadruple", RUN_PAIR, complement, RUN_PAIR),
-        ("reverse-swaps-quadruple", _PREFIX_PAIR, reverse, _PREFIX_PAIR),
+        ("complement-swaps-quadruple", RUN_PAIR, "c", RUN_PAIR),
+        ("reverse-swaps-quadruple", _PREFIX_PAIR, "r", _PREFIX_PAIR),
         ("transfer-swaps-quadruple", LAYERED_PAIR, transfer_image, RUN_PAIR),
     ]
     cross_name = "cross-class-equidistribution"
@@ -205,9 +208,12 @@ def check_equidistribution_maps(n_max: int = DEFAULT_N_MAPS) -> list[VerifyRepor
         distinct = {}
         tables = {pair: _quadruples(pair, n, distinct) for pair in _MAP_PAIRS}
         swapped = {(a, d, ya, zd): (d, a, zd, ya) for a, d, ya, zd in distinct}
+        ops = member_ops(n)
         for name, src, mapping, dst in checks:
             if name in found:
                 continue
+            if isinstance(mapping, str):
+                mapping = ops[mapping]
             # An image is a fresh member exactly when it is still here to pop.
             unclaimed = dict(tables[dst])
             for perm, quad in tables[src].items():

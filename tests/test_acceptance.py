@@ -137,7 +137,9 @@ def test_criterion_6_bijection_suite():
             run_class = set(enumerate_class(RUN_PAIR, n))
             transfer_images = set()
             transfer_fixed = 0
-            for perm in layered:
+            for member in layered:
+                # the maps take and return tuples; the members are bytes
+                perm = tuple(member)
                 quad = quadruple(perm)
                 image = complement_map(perm)
                 assert complement_map(image) == perm
@@ -146,8 +148,8 @@ def test_criterion_6_bijection_suite():
                 assert quadruple(image) == swapped(quad)
 
                 moved = transfer_map(perm)
-                assert moved in run_class and moved not in transfer_images
-                transfer_images.add(moved)
+                assert bytes(moved) in run_class and bytes(moved) not in transfer_images
+                transfer_images.add(bytes(moved))
                 assert quadruple(moved) == swapped(quad)
                 if moved == perm:
                     transfer_fixed += 1

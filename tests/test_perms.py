@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from avoidpair import perms
 from avoidpair.perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
+    SYMMETRY_OPS,
     _scan_occurrence,
     all_pairs,
     all_perms,
@@ -32,6 +35,7 @@ from avoidpair.perms import (
     parse_pattern,
     parse_perm,
     pattern_pair,
+    member_ops,
     reduce_to_canonical,
     reverse,
     reverse_complement,
@@ -308,11 +312,12 @@ class TestReduction:
 class TestEnumeration:
     def test_layered_class_at_three(self):
         pair = pattern_pair((2, 3, 1), (3, 1, 2))
-        assert enumerate_class(pair, 3) == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
+        assert enumerate_class(pair, 3) == [bytes((1, 2, 3)), bytes((1, 3, 2)),
+                                            bytes((2, 1, 3)), bytes((3, 2, 1))]
 
     def test_n_zero_is_the_empty_permutation(self):
         for pair in all_pairs():
-            assert enumerate_class(pair, 0) == [()]
+            assert enumerate_class(pair, 0) == [b""]
 
     def test_finite_class_empties_out(self):
         assert enumerate_class(FINITE_PAIR, 5) == []
@@ -326,7 +331,7 @@ class TestEnumeration:
     def test_structural_generation_equals_filter_definition(self):
         for pair in all_pairs():
             for n in range(7):
-                assert enumerate_class(pair, n) == filter_class(pair, n), (
+                assert enumerate_class(pair, n) == list(map(bytes, filter_class(pair, n))), (
                     format_pair(pair),
                     n,
                 )
@@ -343,7 +348,7 @@ class TestEnumeration:
             pattern_pair((2, 1, 3), (2, 3, 1)),
             pattern_pair((1, 3, 2), (3, 1, 2)),
         ):
-            assert enumerate_class(pair, 7) == filter_class(pair, 7)
+            assert enumerate_class(pair, 7) == list(map(bytes, filter_class(pair, 7)))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_213_312_members_rise_to_n_then_fall(self, n):
@@ -388,6 +393,67 @@ class TestClassMembers:
     def test_a_canonical_pair_reads_the_cached_generator_tuple(self):
         for pair in CANONICAL_PAIRS:
             assert class_members(pair, 7) is class_members(pair, 7)
+
+
+# The generators of the four classes of size 2^(n-1).
+DOUBLING_GENERATORS = [perms._CANONICAL_GENERATORS[pair] for pair in CANONICAL_PAIRS
+                       if pair not in (CANONICAL_PAIRS[1], FINITE_PAIR)]
+
+
+class TestMemberType:
+    """A class member is a bytes of its values, and the member ops agree
+    with the public tuple ops."""
+
+    @pytest.mark.parametrize("pair", CANONICAL_PAIRS, ids=format_pair)
+    def test_every_generator_caches_bytes_of_the_values_1_to_n(self, pair):
+        generator = perms._CANONICAL_GENERATORS[pair]
+        for n in range(13):
+            members = generator(n)
+            assert generator(n) is members
+            for member in members:
+                assert type(member) is bytes and sorted(member) == [*range(1, n + 1)], member
+
+    def test_every_finite_length_limit_fits_a_byte(self):
+        finite = [limit for limit in perms.length_limits().values() if limit != math.inf]
+        assert finite and max(finite) < 256
+
+    @pytest.mark.parametrize("generator", DOUBLING_GENERATORS, ids=lambda g: g.__name__)
+    def test_the_members_of_a_doubling_class_take_at_most_64_bytes_each(self, generator):
+        # Traced, a bytes member of length 16 takes 49 bytes and a tuple of
+        # its values 168.  Only length 16 is traced: the shorter lengths, and
+        # for Av(213,231) the unimodal members it inverts, are made first.
+        n = 16
+        generator.cache_clear()
+        generator(n - 1)
+        if generator is perms._class_213_231:
+            perms._class_213_312(n)
+        tracemalloc.start()
+        try:
+            members = generator(n)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(members) == 2 ** (n - 1)
+        assert (traced - sys.getsizeof(members)) / len(members) <= 64
+
+    def test_member_ops_are_the_symmetry_ops_and_inverse(self):
+        assert list(member_ops(5)) == [op for op in SYMMETRY_OPS if op != "identity"] + ["inverse"]
+
+    def test_member_ops_agree_with_the_tuple_ops_on_every_member(self):
+        # filter_class scans all n! permutations, so it is read up to n = 7
+        tuple_ops = {**SYMMETRY_OPS, "inverse": inverse}
+        for pair in all_pairs():
+            for n in range(10):
+                members = enumerate_class(pair, n)
+                if n <= 7:
+                    assert [tuple(member) for member in members] == filter_class(pair, n)
+                ops = member_ops(n)
+                for member in members:
+                    perm = tuple(member)
+                    for op, transform in ops.items():
+                        image = transform(member)
+                        assert type(image) is bytes, (op, member)
+                        assert tuple(image) == tuple_ops[op](perm), (op, member)
 
 
 CLASS_FUNCTIONS = (class_count, class_size, enumerate_class, class_members, filter_class)

@@ -293,7 +293,7 @@ class TestEquidistributionMaps:
 
     def test_a_repeated_image_is_not_fresh(self, monkeypatch):
         # every member goes to the decreasing permutation, a member of the target class
-        monkeypatch.setattr(verify, "transfer_image", lambda perm: tuple(range(len(perm), 0, -1)))
+        monkeypatch.setattr(verify, "transfer_image", lambda perm: bytes(range(len(perm), 0, -1)))
         reports = check_equidistribution_maps(6)
         assert [r.name for r in reports if not r.passed] == ["transfer-swaps-quadruple"]
         assert reports[3].first_discrepancy == {
@@ -384,7 +384,7 @@ class TestSuite:
                 continue
             members = perms.class_members(pair, 6)
             assert not isinstance(members, tuple), pair
-            assert list(members) == [perms.SYMMETRY_OPS[op](perm)
+            assert list(members) == [perms.member_ops(6)[op](perm)
                                      for perm in perms.class_members(canonical, 6)], pair
 
     def test_unknown_scope_rejected(self):
