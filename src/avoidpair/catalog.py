@@ -7,13 +7,16 @@ infinite class:
   s^lrmin t^rlmin;
 * family ``G`` marks four: x^n p^asc q^des y^mna z^mnd.
 
-Forty single-statistic forms specialize them.  Every formula is stored as
-transcribed; where a transcription fails the enumeration oracle the entry
-also carries the oracle-corrected working form and is flagged, with the raw
-form kept for audit.  A variable recipe per symmetry op, derived from the
-statistic swaps in :mod:`stats`, extends the canonical entries to all
-fourteen pairs with an infinite class; the pair {123, 321} is finite and
-only has a counting formula.
+The joint formulas are stored as transcribed; where a transcription fails
+the enumeration oracle the entry also carries the oracle-corrected working
+form and is flagged, with the raw form kept for audit.  The forty
+single-statistic forms are derived, each on first use, from a joint form
+with the other markers set to 1, in lowest terms; the only single forms
+typed are the two raw transcriptions that the oracle corrected, kept for
+audit.  A variable recipe per symmetry op, derived from the statistic swaps
+in :mod:`stats`, extends the canonical entries to all fourteen pairs with
+an infinite class; the pair {123, 321} is finite and only has a counting
+formula.
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ RECIPES = {family: {op: _recipe(markers, swaps) for op, swaps in STAT_SWAPS.item
 
 
 class CatalogEntry(Record):
-    """A stored formula plus its audit trail.
+    """A catalogued formula plus its audit trail.
 
     ``gf`` is the working form whose expansion matches enumeration.  ``raw``
-    is the form exactly as transcribed; it differs from ``gf`` only when the
+    is the form exactly as transcribed, or for a derived single-statistic
+    form the derived form itself; it differs from ``gf`` only when the
     transcription failed the oracle, and then ``oracle_corrected`` is set
     and ``note`` records the adjustment.
     """
@@ -74,24 +78,18 @@ _PAIR_123_132, _PAIR_132_321, _PAIR_231_312, _PAIR_213_231, _PAIR_213_312, _ = C
 
 
 def _entry(num: MultiPoly, *den_factors: MultiPoly) -> CatalogEntry:
-    # RationalGF keeps den_factors, which polys.expand divides by one at a
-    # time, and multiplies them out once for the denominator.  Where the
-    # transcription writes a product of linear-in-x factors they are passed
-    # apart, in the order whose expansion to n = 30 makes the fewest
-    # multiply-adds (the order changes the intermediate series, not the
-    # result).  A power of one factor, such as the 132,321 G cube, stays one
-    # stage: that expands faster than three.
+    # polys.expand divides by the den_factors one at a time.  A transcribed
+    # product of linear-in-x factors is passed apart, in the order whose
+    # expansion to n = 30 makes the fewest multiply-adds (the order changes
+    # the intermediate series, not the result).  A power of one factor, such
+    # as the 132,321 G cube, stays one stage: that expands faster than three.
     gf = RationalGF(num, den_factors)
     return CatalogEntry(gf, gf)
 
 
-def _corrected(num, den, raw_num, raw_den, note: str) -> CatalogEntry:
-    return CatalogEntry(RationalGF(num, den), RationalGF(raw_num, raw_den), note)
-
-
 @lru_cache(maxsize=1)
 def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
-    # The ring generators are built here, and in _single_entries, so that no
+    # The ring generators are built here, and in _single_entry, so that no
     # other code holds them: an operation that wrote into an operand could
     # otherwise corrupt every form built after it.
     X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
@@ -130,16 +128,18 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
     _den_213_312 = (
         P**4*X**4*Y**2 + (-1 + Q**2*X**2*Z) ** 2 - 2*P**2*X**2*Y*(1 + Q**2*X**2*Z)
     )
-    entries[_PAIR_213_312, "G"] = _corrected(
-        1 + X
-        + (P*Y + Q*Z - 2*P**2*Y - 2*Q**2*Z) * X**2
-        + (-P**2*Y + 2*P*Q*Y*Z - Q**2*Z) * X**3
-        + (P**4*Y**2 - P**3*Y**2 + P**2*Q*Y*Z + P*Q**2*Y*Z - 2*P**2*Q**2*Y*Z
-           + Q**4*Z**2 - Q**3*Z**2) * X**4,
-        _den_213_312,
-        1 - P**3*X**3*Y**2 + Q*X*Z - Q**2*X**2*Z - Q**3*X**3*Z**2
-        + P**2*X**2*Y*(-1 + Q*X*Z) + P*X*Y*(1 + 2*Q*X*Z + Q**2*X**2*Z),
-        _den_213_312,
+    entries[_PAIR_213_312, "G"] = CatalogEntry(
+        RationalGF(
+            1 + X
+            + (P*Y + Q*Z - 2*P**2*Y - 2*Q**2*Z) * X**2
+            + (-P**2*Y + 2*P*Q*Y*Z - Q**2*Z) * X**3
+            + (P**4*Y**2 - P**3*Y**2 + P**2*Q*Y*Z + P*Q**2*Y*Z - 2*P**2*Q**2*Y*Z
+               + Q**4*Z**2 - Q**3*Z**2) * X**4,
+            _den_213_312),
+        RationalGF(
+            1 - P**3*X**3*Y**2 + Q*X*Z - Q**2*X**2*Z - Q**3*X**3*Z**2
+            + P**2*X**2*Y*(-1 + Q*X*Z) + P*X*Y*(1 + 2*Q*X*Z + Q**2*X**2*Z),
+            _den_213_312),
         "raw numerator fails the enumeration oracle at x^1; working numerator "
         "reconstructed from the class distribution against the raw denominator",
     )
@@ -200,108 +200,17 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
     return entries
 
 
-@lru_cache(maxsize=1)
-def _single_entries() -> dict[tuple[Pair, str], CatalogEntry]:
-    X, P, Q, U, V, S, T, Y, Z = (MultiPoly.var(name) for name in "xpquvstyz")
-    entries: dict[tuple[Pair, str], CatalogEntry] = {}
-
-    def put(pair, forms):
-        for stat, (num, den) in forms.items():
-            entries[pair, stat] = _entry(num, den)
-
-    put(_PAIR_123_132, {
-        "asc": (1 - X, 1 - 2*X + X**2 - P*X**2),
-        "des": (1 + X - 2*Q*X + X**2 - 2*Q*X**2 + Q**2*X**2,
-                1 - 2*Q*X - Q*X**2 + Q**2*X**2),
-        "mna": (1 - X, 1 - 2*X + X**2 - X**2*Y),
-        "mnd": (1 + X + X**2 - 2*X**2*Z - X**3*Z, 1 - 3*X**2*Z - 2*X**3*Z),
-        "lrmax": (1 - 2*X + U*X - U*X**2 + U**2*X**2, 1 - 2*X),
-        "rlmax": (1 - X, 1 - X - V*X),
-        "lrmin": (1 - S*X, 1 - 2*S*X - S*X**2 + S**2*X**2),
-        "rlmin": (1 - 2*X + T*X - T*X**2 + T**2*X**2, 1 - 2*X),
-    })
-
-    put(_PAIR_132_321, {
-        "asc": (1 + X - 3*P*X + X**2 - 2*P*X**2 + 3*P**2*X**2 + P**2*X**3 - P**3*X**3,
-                (1 - P*X) ** 3),
-        "des": (1 - 2*X + X**2 + Q*X**2, (1 - X) ** 3),
-        "mna": (1 + X + X**2 - 2*X**2*Y + X**3*Y + X**4*Y + 3*X**4*Y**2 + 2*X**5*Y**2,
-                (1 - X**2*Y) ** 3),
-        "mnd": (1 - 2*X + X**2 + X**2*Z, (1 - X) ** 3),
-        "lrmax": (1 - X - U*X + 2*U*X**2, (1 - X) * (1 - U*X) ** 2),
-        "rlmax": (1 - 3*X + V*X + 3*X**2 - 2*V*X**2 + V**2*X**2 - X**3 + 2*V*X**3
-                  - V**2*X**3, (1 - X) ** 3),
-        "lrmin": (1 - 3*X + S*X + 3*X**2 - 2*S*X**2 + S**2*X**2 - X**3 + S*X**3,
-                  (1 - X) ** 3),
-        "rlmin": (1 - X - T*X + 2*T*X**2, (1 - X) * (1 - T*X) ** 2),
-    })
-
-    put(_PAIR_231_312, {
-        "asc": (1 - P*X, 1 - X - P*X),
-        "des": (1 - Q*X, 1 - X - Q*X),
-        "mna": (1 - X**2*Y, 1 - X - 2*X**2*Y),
-        "mnd": (1 - X**2*Z, 1 - X - 2*X**2*Z),
-        "lrmax": (1 - X, 1 - X - U*X),
-        "rlmax": (1 - 2*X + V*X**2, (1 - 2*X) * (1 - V*X)),
-        "lrmin": (1 - 2*X + S*X**2, (1 - 2*X) * (1 - S*X)),
-        "rlmin": (1 - X, 1 - X - T*X),
-    })
-
-    put(_PAIR_213_231, {
-        "asc": (1 - P*X, 1 - X - P*X),
-        "des": (1 - Q*X, 1 - X - Q*X),
-        "mna": (1 - X**2*Y, 1 - X - 2*X**2*Y),
-        "mnd": (1 - X**2*Z, 1 - X - 2*X**2*Z),
-        "lrmax": (1 - 2*X + U*X**2, (1 - 2*X) * (1 - U*X)),
-        "rlmax": (1 - X, 1 - X - V*X),
-        "lrmin": (1 - 2*X + S*X**2, (1 - 2*X) * (1 - S*X)),
-        "rlmin": (1 - X, 1 - X - T*X),
-    })
-
-    put(_PAIR_213_312, {
-        "asc": (1 - P*X, 1 - X - P*X),
-        "des": (1 - Q*X, 1 - X - Q*X),
-        "lrmax": (1 - X, 1 - X - U*X),
-        "rlmax": (1 - X, 1 - X - V*X),
-        "lrmin": (1 - 2*X + S*X**2, (1 - 2*X) * (1 - S*X)),
-        "rlmin": (1 - 2*X + T*X**2, (1 - 2*X) * (1 - T*X)),
-    })
-
-    # The transcribed mna/mnd forms for this pair have constant term 0 and
-    # so miss the empty permutation; the oracle fixes them by adding 1,
-    # which collapses each numerator to 1 - x.
-    entries[_PAIR_213_312, "mna"] = _corrected(
-        1 - X, 1 - 2*X + X**2 - X**2*Y,
-        X - X**2 + X**2*Y, 1 - 2*X + X**2 - X**2*Y,
-        "raw form has constant term 0 and equals the series minus 1; "
-        "working form adds the empty-permutation term",
-    )
-    entries[_PAIR_213_312, "mnd"] = _corrected(
-        1 - X, 1 - 2*X + X**2 - X**2*Z,
-        X - X**2 + X**2*Z, 1 - 2*X + X**2 - X**2*Z,
-        "raw form has constant term 0 and equals the series minus 1; "
-        "working form adds the empty-permutation term",
-    )
-
-    return entries
-
-
-def _stored(entries: dict, pair: Pair, key: str) -> CatalogEntry:
-    pair = pattern_pair(*pair)
-    if pair == FINITE_PAIR:
-        raise FiniteClassError(
-            f"{format_pair(pair)} is a finite class with no generating function; "
-            "use class_count"
-        )
-    try:
-        return entries[pair, key]
-    except KeyError:
-        raise ValueError(f"{format_pair(pair)} is not a canonical pair") from None
-
-
 def canonical_entry(pair: Pair, family: str) -> CatalogEntry:
     """Stored entry for a canonical pair, with its audit fields."""
-    return _stored(_joint_entries(), pair, require_family(family))
+    family = require_family(family)
+    pair = pattern_pair(*pair)
+    if pair == FINITE_PAIR:
+        raise FiniteClassError(f"{format_pair(pair)} is a finite class with no "
+                               "generating function; use class_count")
+    try:
+        return _joint_entries()[pair, family]
+    except KeyError:
+        raise ValueError(f"{format_pair(pair)} is not a canonical pair") from None
 
 
 def canonical_gf(pair: Pair, family: str) -> RationalGF:
@@ -316,9 +225,26 @@ def canonical_gf(pair: Pair, family: str) -> RationalGF:
 
 
 def single_stat_entry(pair: Pair, stat: str) -> CatalogEntry:
+    """A canonical pair's F form (G for mna and mnd) with every marker but
+    that of ``stat`` set to 1, in lowest terms, derived on first use."""
     if stat not in STAT_NAMES:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {STAT_NAMES}")
-    return _stored(_single_entries(), pair, stat)
+    return _single_entry(pattern_pair(*pair), stat)
+
+
+@cache
+def _single_entry(pair: Pair, stat: str) -> CatalogEntry:
+    family = "F" if stat in FAMILY_MARKERS["F"] else "G"
+    drop = (marker for other, marker in FAMILY_MARKERS[family].items() if other != stat)
+    gf = canonical_gf(pair, family).substitute_one(*drop).in_lowest_terms()
+    if pair == _PAIR_213_312 and stat in ("mna", "mnd"):
+        # The transcribed forms have constant term 0 and so miss the empty
+        # permutation: each is its working form minus 1.
+        X, M = MultiPoly.var("x"), MultiPoly.var(FAMILY_MARKERS["G"][stat])
+        raw = RationalGF(X - X**2 + X**2*M, 1 - 2*X + X**2 - X**2*M)
+        return CatalogEntry(gf, raw, "raw form has constant term 0 and equals the series "
+                            "minus 1; working form adds the empty-permutation term")
+    return CatalogEntry(gf, gf)
 
 
 def single_stat_gf(pair: Pair, stat: str) -> RationalGF:
@@ -365,22 +291,24 @@ def _entry_json(entry: CatalogEntry) -> dict:
     return data
 
 
-def audit_order() -> tuple[list, list]:
-    """The stored ``((pair, key), entry)`` items as every audit lists them: the
-    joint ones by family then pair, the single ones by pair then statistic."""
-    joint = sorted(_joint_entries().items(), key=lambda item: (item[0][1], item[0][0]))
-    single = sorted(_single_entries().items(),
-                    key=lambda item: (item[0][0], STAT_NAMES.index(item[0][1])))
-    return joint, single
+def joint_audit_order() -> list:
+    """The ``((pair, family), entry)`` items, by family then pair, as every audit lists them."""
+    return sorted(_joint_entries().items(), key=lambda item: (item[0][1], item[0][0]))
+
+
+def single_audit_order() -> list:
+    """The ``((pair, stat), entry)`` items, by pair then statistic: all 40 derived."""
+    return [((pair, stat), single_stat_entry(pair, stat))
+            for pair in sorted(CANONICAL_PAIRS) if pair != FINITE_PAIR
+            for stat in STAT_NAMES]
 
 
 def dump() -> dict:
-    """Every stored formula in the polynomial wire format, for audit."""
-    joint_entries, single_entries = audit_order()
+    """Every catalogued formula in the polynomial wire format, for audit."""
     joint: dict[str, dict] = {family: {} for family in FAMILIES}
-    for (pair, family), entry in joint_entries:
+    for (pair, family), entry in joint_audit_order():
         joint[family][format_pair(pair)] = _entry_json(entry)
     single: dict[str, dict] = {}
-    for (pair, stat), entry in single_entries:
+    for (pair, stat), entry in single_audit_order():
         single.setdefault(format_pair(pair), {})[stat] = _entry_json(entry)
     return {"joint": joint, "single": single}

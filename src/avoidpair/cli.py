@@ -337,7 +337,7 @@ def _cmd_catalog_dump(args) -> int:
 
         print(json.dumps(catalog.dump(), indent=2, sort_keys=True))
         return 0
-    joint, single = catalog.audit_order()
+    joint = catalog.joint_audit_order()
     if args.format == "csv":
         from .polys import VARS
 
@@ -351,7 +351,8 @@ def _cmd_catalog_dump(args) -> int:
         print(_csv_rows(rows, ["family", "pair", "part", "monomial", "coefficient"]))
     else:
         labelled = [(f"{family} {format_pair(pair)}", entry) for (pair, family), entry in joint]
-        labelled += [(f"{format_pair(pair)} {stat}", entry) for (pair, stat), entry in single]
+        labelled += [(f"{format_pair(pair)} {stat}", entry)
+                     for (pair, stat), entry in catalog.single_audit_order()]
         for label, entry in labelled:
             corrected = " (oracle-corrected)" if entry.oracle_corrected else ""
             print(f"{label}{corrected}")

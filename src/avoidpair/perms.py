@@ -462,14 +462,9 @@ def _class_123_321(n: int) -> tuple[Member, ...]:
     return tuple(map(bytes, filter_class(FINITE_PAIR, n)))
 
 
-_CANONICAL_GENERATORS = {
-    CANONICAL_PAIRS[0]: _class_123_132,
-    CANONICAL_PAIRS[1]: _class_132_321,
-    CANONICAL_PAIRS[2]: _class_231_312,
-    CANONICAL_PAIRS[3]: _class_213_231,
-    CANONICAL_PAIRS[4]: _class_213_312,
-    CANONICAL_PAIRS[5]: _class_123_321,
-}
+_CANONICAL_GENERATORS = dict(zip(CANONICAL_PAIRS, (
+    _class_123_132, _class_132_321, _class_231_312, _class_213_231, _class_213_312,
+    _class_123_321)))
 
 
 def _generated_at(pair: Pair, n: int) -> tuple[tuple[Member, ...], str]:
@@ -540,9 +535,7 @@ def _canonical_count(canonical: Pair, n: int) -> int:
     if n == 0:
         return 1
     if canonical == FINITE_PAIR:
-        if n >= 5:
-            return 0
-        return {1: 1, 2: 2, 3: 4, 4: 4}[n]
+        return {1: 1, 2: 2, 3: 4, 4: 4}.get(n, 0)
     if canonical == CANONICAL_PAIRS[1]:  # 132,321
         return 1 + math.comb(n, 2)
     return 2 ** (n - 1)

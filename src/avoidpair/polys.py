@@ -23,7 +23,7 @@ import struct
 from collections import deque
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import itemgetter, not_, or_
+from operator import itemgetter, lt, not_, or_
 from typing import Iterable, Mapping
 
 from ._record import Record
@@ -41,7 +41,6 @@ _FIELD_BITS = 64
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
 _SHIFT = {name: _FIELD_BITS * i for i, name in enumerate(_LAYOUT)}
 _X_SHIFT = _SHIFT["x"]
-_X_FREE = (1 << _X_SHIFT) - 1
 # the top bit of every field: keys whose OR misses all of them add without carry
 _TOP_BITS = sum(1 << (shift + _FIELD_BITS - 1) for shift in _SHIFT.values())
 _FIELDS = struct.Struct(f"<{_NVARS}Q")
@@ -323,9 +322,14 @@ class MultiPoly:
 
     def x_slices(self) -> dict[int, "MultiPoly"]:
         """Split by x-degree into x-free polynomials, keyed by the degree."""
+        return self._slices(_X_SHIFT)
+
+    def _slices(self, shift: int) -> dict[int, "MultiPoly"]:
+        # the coefficients in the variable of the field at ``shift``, by degree
+        rest = ~(_FIELD_MAX << shift)
         slices: dict[int, dict] = {}
         for key, coeff in self._terms.items():
-            slices.setdefault(key >> _X_SHIFT, {})[key & _X_FREE] = coeff
+            slices.setdefault(key >> shift & _FIELD_MAX, {})[key & rest] = coeff
         return {d: MultiPoly._raw(t) for d, t in slices.items()}
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
@@ -431,6 +435,75 @@ def _monomial(exps: tuple) -> str:
     return " ".join(factors) or "1"
 
 
+def divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The exact quotient a / b; ValueError unless b divides a over ℤ.
+
+    Long division on leading terms, those with the largest key: keys as
+    ints order monomials lexicographically, x first, and a product's key is
+    the sum of its factors' keys.  So while b divides a, each remainder's
+    leading term is a multiple of b's; the first that is not shows it does not.
+
+    >>> x = MultiPoly.var("x")
+    >>> print(divide(1 - x**2, 1 + x))
+    1 - x
+    """
+    if b.is_zero():
+        raise ValueError("division by the zero polynomial")
+    if b == 1:
+        return a
+    lead = max(b._terms)
+    quotient: dict[int, int] = {}
+    while a._terms:
+        top = max(a._terms)
+        coeff, rest = divmod(a._terms[top], b._terms[lead])
+        if rest or any(map(lt, *_fields((top, lead)))):
+            raise ValueError(f"{b} does not divide the dividend")
+        quotient[top - lead] = coeff
+        a = a - MultiPoly._raw({top - lead: coeff}) * b
+    return MultiPoly._raw(quotient)
+
+
+def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The greatest common divisor over ℤ, with a positive leading term (as
+    in :func:`divide`); gcd(0, 0) is 0.
+
+    In the highest field's variable over the ring of the others, it is the
+    gcd of the contents (of the coefficients, one level down) times the last
+    entry of the primitive pseudo-remainder sequence; it ends in ℤ.
+
+    >>> x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    >>> print(gcd(x**2 - y**2, -x**2 - 2*x*y - y**2))
+    y + x
+    """
+    if a.is_zero() or b.is_zero():
+        common = a + b
+    elif a._terms.keys() <= {0} or b._terms.keys() <= {0}:
+        return MultiPoly.const(math.gcd(*a._terms.values(), *b._terms.values()))
+    else:
+        used = reduce(or_, a._terms) | reduce(or_, b._terms)
+        shift = (used.bit_length() - 1) // _FIELD_BITS * _FIELD_BITS
+        content_a, content_b = _content(a, shift), _content(b, shift)
+        a, b = divide(a, content_a), divide(b, content_b)
+        while not (rest := _pseudo_remainder(a, b, shift)).is_zero():
+            a, b = b, divide(rest, _content(rest, shift))
+        common = gcd(content_a, content_b) * b
+    return -common if common._terms and common._terms[max(common._terms)] < 0 else common
+
+
+def _content(poly: MultiPoly, shift: int) -> MultiPoly:
+    # the gcd of poly's coefficients in the variable at shift
+    return reduce(gcd, poly._slices(shift).values())
+
+
+def _pseudo_remainder(a: MultiPoly, b: MultiPoly, shift: int) -> MultiPoly:
+    # lead(b)^k a - q b, of lower degree than b in the variable at shift
+    degree = max(slices := b._slices(shift))
+    lead = slices[degree]
+    while (slices := a._slices(shift)) and (top := max(slices)) >= degree:
+        a = lead * a - slices[top] * MultiPoly._raw({(top - degree) << shift: 1}) * b
+    return a
+
+
 def _part(value) -> MultiPoly:
     """A form's part as a MultiPoly; an int is taken as MultiPoly arithmetic takes it."""
     poly = MultiPoly._coerce(value)
@@ -505,6 +578,13 @@ class RationalGF(Record):
 
     def substitute_one(self, *names: str) -> "RationalGF":
         return self._image(lambda poly: poly.substitute_one(*names))
+
+    def in_lowest_terms(self) -> "RationalGF":
+        """The same function with num and den divided by their :func:`gcd`,
+        and den one factor: unique, since a coprime pair with den(0) = 1 is."""
+        common = gcd(self.num, self.den)  # common(0) divides den(0) = 1
+        common = -common if common.constant_term() < 0 else common
+        return RationalGF(divide(self.num, common), divide(self.den, common))
 
 
 class SeriesTable(Record):

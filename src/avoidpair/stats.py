@@ -9,7 +9,7 @@ maximum, this being the unit-interval special case of interval scheduling.
 
 from __future__ import annotations
 
-from operator import lt
+from operator import gt, lt
 from typing import NamedTuple
 
 from . import FAMILIES
@@ -62,20 +62,25 @@ def rlmin(perm: Perm) -> int:
     return lrmin(perm[::-1])
 
 
+def _greedy_pairs(perm: Perm, compare) -> int:
+    # left to right, count each adjacent pair that compares and skip past it
+    count, i = 0, 0
+    while i < len(perm) - 1:
+        if compare(perm[i], perm[i + 1]):
+            count += 1
+            i += 2
+        else:
+            i += 1
+    return count
+
+
 def mna(perm: Perm) -> int:
     """Maximum number of pairwise index-disjoint ascents (greedy scan).
 
     >>> mna((3, 4, 1, 5, 2))
     2
     """
-    count, i = 0, 0
-    while i < len(perm) - 1:
-        if perm[i] < perm[i + 1]:
-            count += 1
-            i += 2
-        else:
-            i += 1
-    return count
+    return _greedy_pairs(perm, lt)
 
 
 def mnd(perm: Perm) -> int:
@@ -84,14 +89,7 @@ def mnd(perm: Perm) -> int:
     >>> mnd((3, 2, 1, 5, 4))
     2
     """
-    count, i = 0, 0
-    while i < len(perm) - 1:
-        if perm[i] > perm[i + 1]:
-            count += 1
-            i += 2
-        else:
-            i += 1
-    return count
+    return _greedy_pairs(perm, gt)
 
 
 class StatVector(NamedTuple):

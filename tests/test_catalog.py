@@ -361,6 +361,20 @@ class TestSingleStatForms:
                 direct = expand(single_stat_gf(pair, stat), 12)
                 assert specialized.coeffs == direct.coeffs, (pair, stat)
 
+    def test_asc_and_des_reduce_to_the_same_terms_from_g_as_from_f(self):
+        # The catalogue derives asc and des from F.  A reduced form with
+        # den(0) = 1 is unique, so a gcd that missed a factor of either
+        # specialization would leave different terms.
+        for pair in CANONICAL_PAIRS:
+            if pair == FINITE_PAIR:
+                continue
+            for stat, kept in (("asc", "p"), ("des", "q")):
+                drop = [m for m in FAMILY_MARKERS["G"].values() if m != kept]
+                from_g = canonical_gf(pair, "G").substitute_one(*drop).in_lowest_terms()
+                from_f = single_stat_gf(pair, stat)
+                assert from_g.num.terms() == from_f.num.terms(), (pair, stat)
+                assert from_g.den.terms() == from_f.den.terms(), (pair, stat)
+
     def test_corrected_non_overlap_forms_for_the_prefix_class(self):
         # the raw transcriptions have constant term 0; the working forms,
         # which the oracle fixed by adding 1, start at 1 like every series
@@ -393,6 +407,10 @@ class TestSingleStatForms:
     def test_unknown_statistic_rejected(self):
         with pytest.raises(ValueError):
             single_stat_gf(PAIR_231_312, "maj")
+
+    def test_non_canonical_pair_rejected(self):
+        with pytest.raises(ValueError, match="^123,213 is not a canonical pair$"):
+            single_stat_gf(pattern_pair((1, 2, 3), (2, 1, 3)), "asc")
 
 
 class TestRemarkEquidistributions:

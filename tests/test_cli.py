@@ -1092,6 +1092,35 @@ print(code, *sorted(set(sys.modules) - before))
 """
 
 
+# Runs one command through cli.main in a fresh interpreter and prints, after
+# its own output, its exit code and how many single-statistic forms the
+# catalogue derived.
+_SINGLE_FORMS_DERIVED_BY = """
+import sys
+from avoidpair import cli
+code = cli.main(sys.argv[1:])
+catalog = sys.modules.get("avoidpair.catalog")
+print(code, catalog._single_entry.cache_info().currsize if catalog else 0)
+"""
+
+
+class TestSingleFormsStayLazy:
+    """Each single-statistic form is derived, by a gcd, only when it is read."""
+
+    @pytest.mark.parametrize("argv, derived", [
+        (("table", "--pair", "231,312", "--family", "G", "--n", "5"), 0),
+        (("table", "--pair", "231,312", "--family", "G", "--n", "5", "--oracle"), 0),
+        (("verify", "gf", "--n-max", "3"), 0),
+        (("catalog-dump", "--format", "csv"), 0),
+        (("catalog-dump",), 40),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
+    def test_only_a_command_that_prints_single_forms_derives_them(self, argv, derived):
+        result = subprocess.run([sys.executable, "-c", _SINGLE_FORMS_DERIVED_BY, *argv],
+                                capture_output=True, text=True)
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[-1] == f"0 {derived}"
+
+
 class TestColdStartImports:
     """Each command loads only the modules it runs."""
 

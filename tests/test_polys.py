@@ -5,7 +5,7 @@ import random
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avoidpair import polys
@@ -214,6 +214,54 @@ def marker_poly(x_degrees, max_exp, max_coeff=5):
     return st.lists(term, max_size=4).map(build)
 
 
+@st.composite
+def bivariate_triples(draw):
+    """Three MultiPolys in x and one drawn marker, each of up to three terms
+    with degrees at most 2 and coefficients in -3..3."""
+    marker = MultiPoly.var(draw(st.sampled_from(VARS[1:])))
+    term = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+    return tuple(sum((c * X**i * marker**j for i, j, c in draw(st.lists(term, max_size=3))),
+                     MultiPoly.zero()) for _ in range(3))
+
+
+class TestExactDivisionAndGcd:
+    @settings(max_examples=300, deadline=None)
+    @given(bivariate_triples())
+    def test_gcd_and_exact_division_of_multiples(self, operands):
+        a, b, c = operands
+        assume(not c.is_zero())
+        common = polys.gcd(a * c, b * c)
+        assert common in (c * polys.gcd(a, b), -c * polys.gcd(a, b))
+        if not common.is_zero():
+            polys.divide(common, c)  # each raises ValueError unless exact
+            polys.divide(a * c, common)
+            polys.divide(b * c, common)
+        assert polys.divide(a * c, c) == a
+        if c not in (1, -1):
+            # c divides a c + 1 only if it divides 1
+            with pytest.raises(ValueError, match="does not divide"):
+                polys.divide(a * c + 1, c)
+
+    def test_zero_and_constant_operands(self):
+        assert polys.gcd(MultiPoly.zero(), MultiPoly.zero()).is_zero()
+        assert polys.gcd(MultiPoly.zero(), -2 - 2 * X) == 2 + 2 * X
+        assert polys.gcd(MultiPoly.const(6), 4 + 2 * X) == 2
+        with pytest.raises(ValueError, match="zero polynomial"):
+            polys.divide(X, MultiPoly.zero())
+
+    # Factors that the catalogue's single-statistic forms lose only after
+    # their joint form is specialized: (catalogue form, markers set to 1,
+    # the gcd of numerator and denominator up to sign).
+    @pytest.mark.parametrize("pair, family, ones, expected", [
+        ("123,132", "G", "pqz", (1 + X) ** 2),
+        ("213,312", "G", "pqz", X**2 * Y - X**2 - 2 * X - 1),
+        ("213,312", "G", "qyz", (P * X - X - 1) * (P * X - X + 1) * (P * X + X + 1)),
+    ], ids=["123,132 mna", "213,312 mna", "213,312 asc"])
+    def test_gcds_that_appear_only_after_specialization(self, pair, family, ones, expected):
+        gf = gf_for(parse_pair(pair), family).substitute_one(*ones)
+        assert polys.gcd(gf.num, gf.den) in (expected, -expected)
+
+
 class TestArithmetic:
     def test_difference_of_squares(self):
         assert (1 + X) * (1 - X) == 1 - X**2
@@ -275,8 +323,10 @@ class TestArithmetic:
         ((1 + X, 1 - X), mul, 1 - X**2),
         ((P * Y - Q * Y + Z,), lambda a: a.rename({"p": "q"}), Z),
         ((P * Y - P + Z,), lambda a: a.substitute_one("y"), Z),
+        (((1 + P * X) * (1 - Q), (1 + P * X) * (1 + Q)), polys.gcd, 1 + P * X),
+        ((1 - X**2, 1 + X), polys.divide, 1 - X),
     ], ids=["a + b", "a - b", "b - a", "int - a", "a * b", "merging rename",
-            "substitute_one"])
+            "substitute_one", "gcd", "exact division"])
     def test_a_cancelling_operation_changes_no_operand(self, operands, operation, result):
         before = [dict(operand._terms) for operand in operands]
         value = operation(*operands)
