@@ -7,8 +7,9 @@ infinite class:
   s^lrmin t^rlmin;
 * family ``G`` marks four: x^n p^asc q^des y^mna z^mnd.
 
-The joint formulas are stored as transcribed; where a transcription fails
-the enumeration oracle the entry also carries the oracle-corrected working
+The joint formulas are stored as transcribed, but for F of 213,231: that
+is F of 213,312 with u and t exchanged.  Where a transcription fails the
+enumeration oracle the entry also carries the oracle-corrected working
 form and is flagged, with the raw form kept for audit.  The forty
 single-statistic forms are derived, each on first use, from a joint form
 with the other markers set to 1, in lowest terms; the only single forms
@@ -62,10 +63,10 @@ class CatalogEntry(Record):
     """A catalogued formula plus its audit trail.
 
     ``gf`` is the working form whose expansion matches enumeration.  ``raw``
-    is the form exactly as transcribed, or for a derived single-statistic
-    form the derived form itself; it differs from ``gf`` only when the
-    transcription failed the oracle, and then ``oracle_corrected`` is set
-    and ``note`` records the adjustment.
+    is the form exactly as transcribed, or for a derived form (F of 213,231
+    and the single-statistic forms) that form itself; it differs from
+    ``gf`` only when the transcription failed the oracle, and then
+    ``oracle_corrected`` is set and ``note`` records the adjustment.
     """
 
     _compared = ("gf", "raw", "oracle_corrected", "note")
@@ -174,15 +175,6 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
         1 - Q*S*V*X, 1 - Q*X - P*T*U*X, 1 - Q*S*X, 1 - Q*V*X,
     )
 
-    entries[_PAIR_213_231, "F"] = _entry(
-        1 - P*T*X - P*T*U*X - Q*V*X - Q*S*V*X + S*T*U*V*X + P**2*T**2*U*X**2
-        + P*Q*S*T*V*X**2 + P*Q*T*U*V*X**2 + P*Q*S*T*U*V*X**2 - P*S*T**2*U*V*X**2
-        + Q**2*S*V**2*X**2 - Q*S*T*U*V**2*X**2 - P**2*Q*S*T**2*U*V*X**3
-        - P*Q**2*S*T*U*V**2*X**3 + P*Q*S**2*T**2*U*V**2*X**3
-        + P*Q*S*T**2*U**2*V**2*X**3 - P*Q*S**2*T**2*U**2*V**2*X**3,
-        1 - P*T*U*X, 1 - Q*S*V*X, 1 - P*T*X - Q*V*X,
-    )
-
     # Given as a sum of rational terms; combined here over the common
     # denominator, using (-1 + a)(-1 + b) = (1 - a)(1 - b).
     _d1 = 1 - P*T*U*X
@@ -196,6 +188,12 @@ def _joint_entries() -> dict[tuple[Pair, str], CatalogEntry]:
         + P*Q*S**2*T*U**2*V**2*X**3 * _d1,
         _d1, _d3, _d2,
     )
+
+    # Inverse maps Av(213,312) onto Av(213,231), exchanging lrmax and rlmin
+    # and keeping lrmin, rlmax and, on a unimodal permutation, asc and des
+    # (i < n is an ascent of the inverse exactly when i lies left of n).
+    _f_inverse = entries[_PAIR_213_312, "F"].gf.rename({"u": "t", "t": "u"})
+    entries[_PAIR_213_231, "F"] = CatalogEntry(_f_inverse, _f_inverse)
 
     return entries
 

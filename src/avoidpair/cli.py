@@ -284,13 +284,15 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    # Both sources import polys, so importing it here loads nothing more.
+    from .polys import ExponentOverflowError, coefficient, json_term_text, monomial
+
     if args.oracle:
         from .oracle import brute_distribution
 
         poly = brute_distribution(args.pair, args.n, args.family)
     else:
         from . import catalog
-        from .polys import ExponentOverflowError, coefficient
 
         gf = catalog.gf_for(args.pair, args.family)
         try:
@@ -300,13 +302,9 @@ def _cmd_table(args) -> int:
         except ExponentOverflowError as exc:
             raise ExponentOverflowError(f"table --n {args.n} is too large: {exc}") from None
     if args.format == "json":
-        from .polys import json_term_text
-
         _print_json_list(itertools.starmap(json_term_text, poly.terms()))
     elif args.format == "csv":
-        from .polys import _monomial
-
-        rows = [(args.n, _monomial(exps), coeff) for exps, coeff in poly.terms()]
+        rows = [(args.n, monomial(exps), coeff) for exps, coeff in poly.terms()]
         print(_csv_rows(rows, ["n", "monomial", "coefficient"]))
     else:
         print(poly)

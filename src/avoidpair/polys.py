@@ -21,16 +21,15 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from functools import cached_property, reduce
-from itertools import compress, repeat
+from functools import cache, cached_property, reduce
+from itertools import compress, repeat, starmap
 from operator import itemgetter, lt, not_, or_
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ._record import Record
 
 VARS = ("x", "p", "q", "u", "v", "s", "t", "y", "z")
 
-_INDEX = {name: i for i, name in enumerate(VARS)}
 _NVARS = len(VARS)
 
 # The fields of a key, from the lowest up.  The G markers come first so that
@@ -46,16 +45,15 @@ _TOP_BITS = sum(1 << (shift + _FIELD_BITS - 1) for shift in _SHIFT.values())
 _FIELDS = struct.Struct(f"<{_NVARS}Q")
 _KEY_BYTES = _FIELDS.size
 _NO_FIELDS = (0,) * _NVARS
-_to_layout = itemgetter(*(_INDEX[name] for name in _LAYOUT))
 _to_vars = itemgetter(*(_LAYOUT.index(name) for name in VARS))
 # (name, index in VARS) in the alphabetical order str writes variables in
-_RENDER_ORDER = sorted(_INDEX.items())
+_RENDER_ORDER = sorted(zip(VARS, range(_NVARS)))
 # each variable's key in a JSON object, in VARS order
 _JSON_KEYS = tuple(f'"{name}": ' for name in VARS)
 
 
 def _known(name: str) -> str:
-    if name not in _INDEX:
+    if name not in _SHIFT:
         raise ValueError(f"unknown variable {name!r}; ring variables are {VARS}")
     return name
 
@@ -73,8 +71,20 @@ class ExponentOverflowError(ValueError):
     """
 
 
-def _pack(exps: tuple) -> int:
-    return int.from_bytes(_FIELDS.pack(*_to_layout(exps)), "little")
+@cache
+def _packer(names: tuple) -> Callable[[Iterable[tuple]], Iterator[int]]:
+    """The keys of exponent vectors over ``names``, one exponent per name in
+    that order, each packed by one struct call, with zeros in unnamed fields."""
+    if len(set(map(_known, names))) != len(names):
+        raise ValueError(f"a variable is named twice in {names!r}")
+    fields = _LAYOUT[:1 + max(map(_LAYOUT.index, names), default=-1)]
+    pack = struct.Struct("<" + "".join("Q" if name in names else "8x" for name in fields)).pack
+    where = [names.index(name) for name in fields if name in names]
+    pick = itemgetter(*where) if len(where) > 1 else lambda exps: [exps[i] for i in where]
+    return lambda vectors: map(int.from_bytes, starmap(pack, map(pick, vectors)), repeat("little"))
+
+
+_pack = _packer(VARS)
 
 
 def _checked_key(exps: Iterable) -> int:
@@ -87,7 +97,7 @@ def _checked_key(exps: Iterable) -> int:
         raise ValueError(f"bad exponent vector: {exps!r}")
     if max(exps) > _FIELD_MAX:
         raise ExponentOverflowError(f"exponent vector {exps!r} does not fit 64-bit fields")
-    return _pack(exps)
+    return next(_pack([exps]))
 
 
 def _fields(keys: Iterable[int]) -> Iterable[tuple]:
@@ -105,13 +115,21 @@ def _field_maxima(keys: Iterable[int]) -> tuple:
     return tuple(map(max, zip(_NO_FIELDS, *_fields(keys))))
 
 
+@cache
+def _kept_fields(names: tuple) -> int:
+    # every field but those of ``names``, as a positive mask: & with a
+    # negative int would build its two's complement for every key
+    dropped = set(map(_known, names))
+    return sum(_FIELD_MAX << shift for name, shift in _SHIFT.items() if name not in dropped)
+
+
 def _nonzero(terms: dict) -> dict:
     """``terms`` with its zero coefficients deleted in place.
 
     Every caller passes a dict that it has just built and owns, never one a
     MultiPoly or a plan holds, so the few cancelled terms are deleted rather
     than the whole dict rebuilt; one scan finds whether there are any."""
-    if 0 in terms.values():
+    if not all(terms.values()):
         for key in list(compress(terms, map(not_, terms.values()))):
             del terms[key]
     return terms
@@ -176,6 +194,19 @@ class MultiPoly:
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
         return cls._raw({1 << _shift_of(name): 1})
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[tuple, int], names: tuple[str, ...]) -> "MultiPoly":
+        """The sum of each count times its vector's monomial, a vector holding
+        one int exponent in 0..2^64 - 1 per name of ``names``, in that order.
+
+        >>> print(MultiPoly.from_counts({(2, 0): 1, (1, 1): 2, (0, 2): 1}, ("p", "q")))
+        p^2 + 2 p q + q^2
+        """
+        try:
+            return cls._raw(_nonzero(dict(zip(_packer(names)(counts), counts.values()))))
+        except struct.error as error:
+            raise ValueError(f"bad exponent vector: {error}") from None
 
     # -- basic queries ----------------------------------------------------
 
@@ -290,11 +321,12 @@ class MultiPoly:
         >>> print((p**2*y + 2*p*q*y*z + q**2*z).substitute_one("y", "z"))
         p^2 + 2 p q + q^2
         """
-        keep = ~reduce(or_, (_FIELD_MAX << _shift_of(name) for name in names), 0)
+        keep = _kept_fields(names)
         terms: dict[int, int] = {}
+        get = terms.get
         for key, coeff in self._terms.items():
             key &= keep
-            terms[key] = terms.get(key, 0) + coeff
+            terms[key] = get(key, 0) + coeff
         return MultiPoly._raw(_nonzero(terms))
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
@@ -358,7 +390,7 @@ class MultiPoly:
             return "0"
         rendered = []
         for exps, coeff in self.terms():
-            body = _monomial(exps)
+            body = monomial(exps)
             if abs(coeff) != 1:
                 body = str(abs(coeff)) if body == "1" else f"{abs(coeff)} {body}"
             rendered.append((coeff < 0, body))
@@ -389,10 +421,8 @@ class MultiPoly:
             exponents = item["exponents"]
             if not isinstance(exponents, Mapping):
                 raise ValueError(f"exponents must be a mapping, got {exponents!r}")
-            exps = [0] * _NVARS
-            for name, e in exponents.items():
-                exps[_INDEX[_known(name)]] = e
-            key = _checked_key(exps)
+            exps = dict.fromkeys(VARS, 0) | {_known(name): e for name, e in exponents.items()}
+            key = _checked_key(exps.values())
             coeff = item["coeff"]
             if not isinstance(coeff, str) or str(value := int(coeff)) != coeff:
                 raise ValueError(f"coefficient is not an int's str: {coeff!r}")
@@ -419,10 +449,10 @@ def json_term_text(exps: tuple, coeff: int) -> str:
     return f'{{"exponents": {{{exponents}}}, "coeff": "{coeff}"}}'
 
 
-def _monomial(exps: tuple) -> str:
+def monomial(exps: tuple) -> str:
     """The variables to their exponents, as ``str`` writes a term; "1" for none.
 
-    >>> _monomial((3, 2, 0, 0, 0, 0, 0, 1, 0))
+    >>> monomial((3, 2, 0, 0, 0, 0, 0, 1, 0))
     'p^2 x^3 y'
     """
     factors = []

@@ -7,11 +7,9 @@ counts to n = 12, family G to n = 10, family F to n = 9, maps to n = 12.
 
 Every check computes each class member's statistics once, and no check
 validates a member that the class generator produced.  The oracle
-(:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts
-the members of :func:`~avoidpair.perms.class_members` in generation order
-(a non-canonical class's images mapped one at a time) by one packed key of
-all eight statistics and reads a family's marginal off those counts by
-masking the key; it keeps one such table per (pair, n) for the process, so
+(:func:`~avoidpair.oracle.brute_distribution`, re-exported here) counts a
+class once per length for the process, into one polynomial in all eight
+statistics' markers, and sets the markers outside a family to 1; so
 families G and F, and any later run, score each class once.  The counts
 check takes class sizes from :func:`~avoidpair.perms.class_size` without
 carrying members over.  The map checks walk each class in lexicographic
@@ -121,7 +119,7 @@ def check_gf(pair: Pair, family: str, n_max: int) -> VerifyReport:
     ``n_max``, at most 18 (90 for ``132,321``), is checked before any work.
     The form is :func:`~avoidpair.catalog.gf_for`'s, looked up at each
     call, so a test that swaps that function proves a corrupted entry is
-    caught.  The oracle's tables outlive the call (see
+    caught.  The oracle's distributions outlive the call (see
     :func:`brute_distribution`).
     """
     pair = pattern_pair(*pair)

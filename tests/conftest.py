@@ -4,7 +4,9 @@ A ``MultiPoly`` operation that writes into an operand's terms corrupts the
 cached closed forms that every later test reads, and those tests then fail
 far from the cause or run until the faulthandler timeout ends the session.
 So the tests that pin operand safety run before all others, and the first
-of them to fail stops the session, with that test reported.
+of them to fail stops the session, with that test reported.  Such a test
+fails only when an operand changed: an operation that returns a wrong value
+or raises leaves it passing, and fails its value test like any other test.
 """
 
 import pytest

@@ -12,6 +12,7 @@ from avoidpair.catalog import (
     single_stat_entry,
     single_stat_gf,
 )
+from avoidpair.oracle import brute_distribution
 from avoidpair.perms import (
     CANONICAL_PAIRS,
     FINITE_PAIR,
@@ -76,6 +77,13 @@ class TestJointForms:
 
     def test_both_run_structured_classes_share_one_form(self):
         assert canonical_gf(PAIR_231_312, "G") == canonical_gf(PAIR_213_231, "G")
+
+    def test_213_231_f_distribution_is_the_213_312_one_with_u_and_t_exchanged(self):
+        # the identity by which the 213,231 F form is derived, not typed
+        for n in range(10):
+            unimodal = brute_distribution(PAIR_213_312, n, "F")
+            assert brute_distribution(PAIR_213_231, n, "F") == unimodal.rename(
+                {"u": "t", "t": "u"}), n
 
     def test_triangular_counts_from_specialized_form(self):
         gf = canonical_gf(PAIR_132_321, "G").substitute_one("p", "q", "y", "z")

@@ -1,8 +1,10 @@
 """The package's public names: the same objects, resolved on first use."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 from types import FunctionType
 
 import pytest
@@ -73,3 +75,51 @@ def test_dir_lists_public_names_and_submodules():
     listed = dir(avoidpair)
     assert set(PUBLIC_NAMES) <= set(listed)
     assert {"cli", "polys", "verify", "__version__"} <= set(listed)
+
+
+# A named tuple's own API starts with an underscore but is public.
+NAMEDTUPLE_API = {"_asdict", "_field_defaults", "_fields", "_make", "_replace"}
+
+
+def is_private(name):
+    dunder = name.startswith("__") and name.endswith("__")
+    return name.startswith("_") and not dunder and name not in NAMEDTUPLE_API
+
+
+def private_reads(source):
+    """Each private name that ``source`` imports from an avoidpair module, and
+    each private attribute it reads off a name so imported."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("avoidpair")):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                if is_private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names if alias.name.startswith("avoidpair"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_the_private_read_finder_finds_each_kind():
+    source = ("from .polys import _pack, MultiPoly\nfrom . import stats\n"
+              "from ._record import Record\nimport avoidpair.perms as perms\n"
+              "MultiPoly._raw({})\nstats.StatVector._fields\nstats.x._y\n"
+              "Record.__init__\nperms._private()\nlocal._x\n")
+    assert sorted(private_reads(source)) == [
+        "MultiPoly._raw", "from .polys import _pack", "perms._private", "stats.x._y"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(avoidpair.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_each_private_name_is_read_only_by_its_own_module(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []

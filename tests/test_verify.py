@@ -4,7 +4,7 @@ import re
 import pytest
 
 from avoidpair import bijections, catalog, oracle, perms, stats, verify
-from avoidpair.perms import FINITE_PAIR, all_pairs, enumerate_class, pattern_pair
+from avoidpair.perms import FINITE_PAIR, all_pairs, enumerate_class, filter_class, pattern_pair
 from avoidpair.polys import MultiPoly, RationalGF
 from avoidpair.verify import (
     VerifyReport,
@@ -21,18 +21,21 @@ P, Q, Y, Z = (MultiPoly.var(name) for name in "pqyz")
 U, V, S, T = (MultiPoly.var(name) for name in "uvst")
 
 
-def monomial_sum(pair, n, family):
-    """The joint distribution by its definition: one marker monomial per member."""
+# Each statistic by its definition in stats, and the variable that marks it.
+MARKED = {stats.asc: P, stats.des: Q, stats.lrmax: U, stats.rlmax: V,
+          stats.lrmin: S, stats.rlmin: T, stats.mna: Y, stats.mnd: Z}
+MARKED_IN = {"G": (stats.asc, stats.des, stats.mna, stats.mnd),
+             "F": (stats.asc, stats.des, stats.lrmax, stats.rlmax, stats.lrmin, stats.rlmin),
+             "all eight": tuple(MARKED)}
+
+
+def monomial_sum(members, family):
+    """A joint distribution by its definition: one marker monomial per member."""
     total = MultiPoly.zero()
-    for perm in enumerate_class(pair, n):
-        term = P ** stats.asc(perm) * Q ** stats.des(perm)
-        if family == "G":
-            term = term * Y ** stats.mna(perm) * Z ** stats.mnd(perm)
-        else:
-            term = (
-                term * U ** stats.lrmax(perm) * V ** stats.rlmax(perm)
-                * S ** stats.lrmin(perm) * T ** stats.rlmin(perm)
-            )
+    for perm in members:
+        term = MultiPoly.one()
+        for stat in MARKED_IN[family]:
+            term = term * MARKED[stat] ** stat(perm)
         total = total + term
     return total
 
@@ -95,8 +98,9 @@ class TestBruteDistribution:
             catalog.gf_for(PAIR_231_312, "H")
 
     def test_each_statistic_has_one_marker_of_its_own(self):
-        # the oracle packs all eight statistics into one key, each in the
-        # field of its marker, and masks that key to read either family
+        # the oracle counts a class once, into one polynomial in the markers
+        # of all eight statistics, and reads either family from it by setting
+        # the markers outside the family to 1
         marker = {}
         for markers in stats.FAMILY_MARKERS.values():
             for stat, var in markers.items():
@@ -111,13 +115,17 @@ class TestBruteDistribution:
                 assert (brute_distribution(respelled, 5, family)
                         == brute_distribution(pair, 5, family)), (pair, family)
 
-    @pytest.mark.parametrize("family", ["F", "G"])
+    @pytest.mark.parametrize("family", ["F", "G", "all eight"])
     def test_matches_the_monomial_sum_over_the_definitions(self, family):
         for pair in all_pairs():
             for n in range(8):
-                assert brute_distribution(pair, n, family) == monomial_sum(pair, n, family), (
-                    pair, n,
-                )
+                if family == "all eight":
+                    # the members by the definitional scan, not the generator
+                    expected = monomial_sum(filter_class(pair, n), family)
+                    assert oracle._joint_distribution(pair, n) == expected, (pair, n)
+                else:
+                    expected = monomial_sum(enumerate_class(pair, n), family)
+                    assert brute_distribution(pair, n, family) == expected, (pair, n)
 
 
 def corrupt(gf):
@@ -172,7 +180,7 @@ class TestSharedTable:
     """The oracle keeps one eight-statistic table per class and length."""
 
     def test_g_then_f_scores_each_member_once(self, monkeypatch):
-        oracle._joint_counts.cache_clear()
+        oracle._joint_distribution.cache_clear()
         calls = count_calls(monkeypatch, "stat_vector")
         members = 0
         for pair in all_pairs():
@@ -181,16 +189,16 @@ class TestSharedTable:
                 for family in ("G", "F"):
                     brute_distribution(pair, n, family)
         assert calls == {"stat_vector": members}
-        assert oracle._joint_counts.cache_info().currsize == 15 * 8
+        assert oracle._joint_distribution.cache_info().currsize == 15 * 8
 
     def test_every_spelling_of_a_pair_reads_one_table(self):
-        oracle._joint_counts.cache_clear()
+        oracle._joint_distribution.cache_clear()
         expected = brute_distribution(PAIR_123_132, 3, "G")
-        assert oracle._joint_counts.cache_info().currsize == 1
+        assert oracle._joint_distribution.cache_info().currsize == 1
         first, second = PAIR_123_132
         for spelling in (([1, 2, 3], [1, 3, 2]), (second, first), ([*second], [*first])):
             assert brute_distribution(spelling, 3, "G") == expected, spelling
-        assert oracle._joint_counts.cache_info().currsize == 1
+        assert oracle._joint_distribution.cache_info().currsize == 1
 
     def test_suite_calls_check_gf_with_three_positional_arguments(self, monkeypatch):
         calls = []
